@@ -14,7 +14,6 @@ import sys
 import time
 
 from matching_ramsey import MatchParams, verify_ramsey_exhaustive
-from matching_ramsey.canon import color_permutations
 from matching_ramsey.search import _generate_levels
 
 for sizes in [(2, 2), (3, 2), (2, 2, 2), (3, 3)]:
@@ -29,7 +28,7 @@ for sizes in [(2, 2), (3, 2), (2, 2, 2), (3, 3)]:
 print()
 print("free class counts by order for (3, 3):")
 p = MatchParams((3, 3))
-levels = _generate_levels(8, 2, sizes=p.sizes, color_perms=color_permutations(2, p.sizes))
+levels = _generate_levels(8, 2, sizes=p.sizes, classes=p.sizes)
 for order, classes in enumerate(levels):
     print(f"  K_{order}: {len(classes)}")
 if len(levels[8]) != 0:

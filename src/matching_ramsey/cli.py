@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .coloring import (
     MatchParams,
+    color_class,
     construct_critical,
     contract_partition,
     find_structure,
@@ -31,8 +32,7 @@ from .formats import (
     parse_partition,
 )
 from .gallai_edmonds import decompose, verify_decomposition
-from .coloring import color_class
-from .search import enumerate_critical, ramsey_value, verify_ramsey_exhaustive
+from .search import DEFAULT_ORDER_GUARD, enumerate_critical, ramsey_value, verify_ramsey_exhaustive
 from .star import construct_star_free, star_critical_value, verify_star_exhaustive
 
 USAGE_ERROR = 2
@@ -82,6 +82,13 @@ def _render_coloring(ec, fmt: str) -> str:
     if fmt == "dot":
         return format_dot(ec)
     raise CliError(f"unknown format {fmt!r}")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _progress(level: int, count: int) -> None:
@@ -247,8 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("sizes", type=int, nargs="+", help="matching sizes n_1 n_2 ...")
 
     def add_search_flags(sp):
-        sp.add_argument("--jobs", type=int, default=1, help="worker processes")
-        sp.add_argument("--guard", type=int, default=8, help="order guard for enumeration")
+        sp.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
+        sp.add_argument(
+            "--guard", type=_positive_int, default=DEFAULT_ORDER_GUARD,
+            help="order guard for enumeration",
+        )
 
     sp = sub.add_parser("value", help="print r and r*")
     add_sizes(sp)

@@ -403,16 +403,20 @@ def proof_ledger(ec: EdgeColoring, p: MatchParams) -> ProofLedger:
         cls = color_class(ec, i)
         ged = decompose(cls)
         a = len(ged.a)
-        assert len(ged.c) % 2 == 0, "C side of a Gallai-Edmonds decomposition is even"
+        if len(ged.c) % 2:
+            raise RuntimeError("C side of a Gallai-Edmonds decomposition is odd")
         d_values = [len(ged.c) // 2]
         for comp in ged.d_components:
-            assert len(comp) % 2 == 1, "D-components of a Gallai-Edmonds decomposition are odd"
+            if len(comp) % 2 == 0:
+                raise RuntimeError("a D-component of a Gallai-Edmonds decomposition is even")
             d_values.append((len(comp) - 1) // 2)
         b = target - 1 - a
         lhs = _edges_within(cls, ged.c) + _edges_within(cls, ged.d)
         rhs = comb(2 * b + 1, 2)
-        assert sum(d_values) <= b, "matching number exceeds the freeness budget"
-        assert lhs <= rhs, "edge count exceeds the freeness bound"
+        if sum(d_values) > b:
+            raise RuntimeError("matching number exceeds the freeness budget")
+        if lhs > rhs:
+            raise RuntimeError("edge count exceeds the freeness bound")
         entries.append(
             ColorLedger(
                 color=i,

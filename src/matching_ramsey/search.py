@@ -8,19 +8,25 @@ and verifying it at a parameter point means two finite facts: some free
 coloring of K_{r-1} exists, and no free coloring of K_r exists.  Both are
 settled by enumerating free colorings up to symmetry.
 
-The generator is level-wise orderly generation.  Colorings of K_m are words
-in colex edge order (see :mod:`matching_ramsey.canon`), so a K_m word is the
-prefix of every K_{m+1} word extending it, and the canonical (lex-min) word
-of a class always truncates to a canonical word.  The engine therefore keeps
-one canonical representative per class of K_m colorings and, per level,
-colors the m edges to a new vertex in all c^m ways, keeping exactly the
-extensions whose full word is again canonical.  Two prunes keep the tree
-small:
+The generator is level-wise orderly generation (Read 1978; McKay 1998).
+Colorings of K_m are ``bytes`` words in colex edge order (see
+:mod:`matching_ramsey.canon`), so a K_m word is the prefix of every K_{m+1}
+word extending it, and the canonical (lex-min) word of a class always
+truncates to a canonical word.  The engine therefore keeps one canonical
+representative per class of K_m colorings and, per level, colors the m
+edges to a new vertex in all c^m ways, keeping exactly the extensions whose
+full word is again canonical.  Two prunes keep the tree small:
 
 * freeness is antitone under edge addition, so a partial row dies as soon as
   the color just used completes a matching of its target size;
 * candidate extensions that are not lex-minimal in their orbit are discarded
   (and with them their entire subtree, since canonicity is prefix-inherited).
+
+The symmetry group is given as color classes (see ``canon.is_canonical``):
+the target sizes for the verification entry points, one shared class for
+plain color enumeration, and one class per color for graph enumeration.
+Canonicity is decided by a backtracking search, so no order limit comes
+from the canonicity test; the order guard bounds the running time.
 
 Work distribution splits a level's representatives across worker processes;
 representative order is preserved when merging, so reports are byte-for-byte
@@ -34,9 +40,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
-from .canon import color_permutations, edge_list, is_canonical
+from .canon import edge_list, is_canonical
 from .coloring import EdgeColoring, MatchParams, StructureWitness, find_structure, is_free
 from .graph import Graph, complete_graph, graph_from_edges, is_connected
 from .matching import has_k_matching_on_masks
@@ -104,7 +108,7 @@ def _extend_representative(
     word: bytes,
     m: int,
     c: int,
-    color_perms: tuple[np.ndarray, ...],
+    classes: tuple[int, ...],
     sizes: tuple[int, ...] | None,
 ) -> list[bytes]:
     """Canonical words of K_{m+1} whose K_m prefix is ``word``.
@@ -114,19 +118,16 @@ def _extend_representative(
     class minus the fresh edge's endpoints, which is exact because the class
     was free before the assignment).
     """
-    base = np.frombuffer(word, dtype=np.uint8)
     prune = sizes is not None
     masks: list[list[int]] = []
     if prune:
         masks = [[0] * (m + 1) for _ in range(c)]
-        for e, (u, v) in enumerate(edge_list(m)):
-            col = int(base[e])
+        for col, (u, v) in zip(word, edge_list(m)):
             masks[col][u] |= 1 << v
             masks[col][v] |= 1 << u
     out: list[bytes] = []
-    cand = np.empty(len(base) + m, dtype=np.uint8)
-    cand[: len(base)] = base
-    row = cand[len(base):]
+    base = len(word)
+    cand = bytearray(word) + bytearray(m)
 
     def dead(col: int, u: int) -> bool:
         # would edge (u, m) in this color complete a matching of size sizes[col]?
@@ -141,8 +142,8 @@ def _extend_representative(
 
     def assign(u: int) -> None:
         if u == m:
-            if is_canonical(cand, m + 1, color_perms):
-                out.append(cand.tobytes())
+            if is_canonical(cand, m + 1, classes):
+                out.append(bytes(cand))
             return
         for col in range(c):
             if prune:
@@ -150,12 +151,12 @@ def _extend_representative(
                     continue
                 masks[col][u] |= 1 << m
                 masks[col][m] |= 1 << u
-                row[u] = col
+                cand[base + u] = col
                 assign(u + 1)
                 masks[col][u] &= ~(1 << m)
                 masks[col][m] &= ~(1 << u)
             else:
-                row[u] = col
+                cand[base + u] = col
                 assign(u + 1)
 
     assign(0)
@@ -163,8 +164,7 @@ def _extend_representative(
 
 
 def _extend_worker(args: tuple) -> list[bytes]:
-    word, m, c, perms, sizes = args
-    return _extend_representative(word, m, c, perms, sizes)
+    return _extend_representative(*args)
 
 
 def _generate_levels(
@@ -172,14 +172,16 @@ def _generate_levels(
     c: int,
     *,
     sizes: tuple[int, ...] | None,
-    color_perms: tuple[np.ndarray, ...],
+    classes: tuple[int, ...],
     jobs: int = 1,
     progress: Progress | None = None,
 ) -> list[list[bytes]]:
     """Canonical representatives of K_m colorings for every m <= n.
 
     ``levels[m]`` lists the canonical words of order m in increasing
-    lexicographic order.  With ``sizes`` set, only free colorings survive.
+    lexicographic order, under vertex permutations and the color
+    permutations that keep each color inside its ``classes`` label.  With
+    ``sizes`` set, only free colorings survive.
     """
     levels: list[list[bytes]] = [[b""], [b""]]  # K_0 and K_1: no edges
     if n <= 1:
@@ -187,7 +189,7 @@ def _generate_levels(
         return levels
     for m in range(1, n):
         reps = levels[m]
-        tasks = [(word, m, c, color_perms, sizes) for word in reps]
+        tasks = [(word, m, c, classes, sizes) for word in reps]
         if jobs > 1 and len(tasks) > 2 * jobs:
             chunksize = max(1, len(tasks) // (4 * jobs))
             with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -236,8 +238,8 @@ def enumerate_colorings(
     _check_guard(n, guard)
     if params is not None and params.c != c:
         raise ValueError("params color count must match c")
-    perms = color_permutations(c, params.sizes if params is not None else None)
-    levels = _generate_levels(n, c, sizes=None, color_perms=perms, jobs=jobs)
+    classes = params.sizes if params is not None else (0,) * c
+    levels = _generate_levels(n, c, sizes=None, classes=classes, jobs=jobs)
     words = levels[n]
     if visitor is not None:
         for word in words:
@@ -255,9 +257,8 @@ def free_coloring_classes(
 ) -> list[EdgeColoring]:
     """All free colorings of K_order up to vertex/color symmetry."""
     _check_guard(order, guard)
-    perms = color_permutations(p.c, p.sizes)
     levels = _generate_levels(
-        order, p.c, sizes=p.sizes, color_perms=perms, jobs=jobs, progress=progress
+        order, p.c, sizes=p.sizes, classes=p.sizes, jobs=jobs, progress=progress
     )
     return [_coloring_from_word(w, order, p.c) for w in levels[order]]
 
@@ -281,7 +282,8 @@ def enumerate_critical(
     witnesses: list[StructureWitness | None] = []
     failures = []
     for ec in classes:
-        assert is_free(ec, p), "generator emitted a non-free coloring"
+        if not is_free(ec, p):
+            raise RuntimeError("generator emitted a non-free coloring")
         w = find_structure(ec, p)
         witnesses.append(w)
         if w is None:
@@ -314,9 +316,8 @@ def verify_ramsey_exhaustive(
     started = time.perf_counter()
     r = ramsey_value(p)
     _check_guard(r, guard)
-    perms = color_permutations(p.c, p.sizes)
     levels = _generate_levels(
-        r, p.c, sizes=p.sizes, color_perms=perms, jobs=jobs, progress=progress
+        r, p.c, sizes=p.sizes, classes=p.sizes, jobs=jobs, progress=progress
     )
     critical = tuple(_coloring_from_word(w, r - 1, p.c) for w in levels[r - 1])
     return SearchReport(
@@ -347,8 +348,7 @@ def enumerate_graphs(
     trivial, so the coloring engine enumerates isomorphism classes directly.
     """
     _check_guard(n, guard)
-    identity = (np.arange(2, dtype=np.uint8),)
-    levels = _generate_levels(n, 2, sizes=None, color_perms=identity, jobs=jobs)
+    levels = _generate_levels(n, 2, sizes=None, classes=(0, 1), jobs=jobs)
     out = []
     pairs = edge_list(n)
     for word in levels[n]:

@@ -11,10 +11,8 @@ from __future__ import annotations
 import itertools
 import random
 
-import numpy as np
-
 from matching_ramsey import EdgeColoring, MatchParams, complete_graph, graph_from_edges, is_free
-from matching_ramsey.canon import canonical_form, color_permutations
+from matching_ramsey.canon import canonical_form
 
 
 def random_graph(rng: random.Random, n: int, p: float):
@@ -35,14 +33,12 @@ def naive_orbit_reps(n: int, c: int, params: MatchParams | None = None, free_onl
     The orbit partition is taken under vertex permutations and the color
     permutations allowed by ``params`` (all of S_c when params is None).
     """
-    sizes = params.sizes if params is not None else None
-    perms = color_permutations(c, sizes)
+    classes = params.sizes if params is not None else (0,) * c
     reps = set()
     for ec in all_colorings(n, c):
         if free_only and not is_free(ec, params):
             continue
-        word = np.array([col - 1 for col in ec.colors], dtype=np.uint8)
-        reps.add(canonical_form(word, n, perms))
+        reps.add(canonical_form(coloring_word(ec), n, classes))
     return reps
 
 

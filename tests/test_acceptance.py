@@ -110,7 +110,7 @@ def test_criterion_6_proof_ledger():
         p = MatchParams(sizes)
         rep = enumerate_critical(p)
         for ec in rep.critical_classes:
-            ledger = proof_ledger(ec, p)  # asserts lhs <= rhs per color internally
+            ledger = proof_ledger(ec, p)  # raises if lhs > rhs for some color
             ok = ok and all(e.edge_bound_lhs <= e.edge_bound_rhs for e in ledger.per_color)
 
             # relabelled color 1 must be K_{2 n_1 - 1} plus isolated vertices with a_1 = 0

@@ -173,3 +173,10 @@ def test_critical_json_output(capsys, tmp_path):
 def test_verify_with_jobs(capsys):
     code, out, _ = run(capsys, "verify", "2", "2", "--jobs", "2")
     assert code == 0 and out == "VERIFIED r=5\n"
+
+
+@pytest.mark.parametrize("flag,value", [("--jobs", "0"), ("--jobs", "-1"), ("--guard", "0")])
+def test_search_flags_must_be_positive(capsys, flag, value):
+    code, out, err = run(capsys, "verify", "2", "2", flag, value)
+    assert code == 2 and out == ""
+    assert flag in err and "at least 1" in err

@@ -14,10 +14,8 @@ from matching_ramsey import (
     ramsey_value,
     verify_ramsey_exhaustive,
 )
-from matching_ramsey.canon import canonical_form, color_permutations
+from matching_ramsey.canon import canonical_form
 from matching_ramsey.search import _word_from_coloring
-
-import numpy as np
 
 from helpers import coloring_word, naive_orbit_reps
 
@@ -61,10 +59,9 @@ def test_free_enumeration_against_naive_oracle():
 
 def test_visited_classes_are_canonical_words():
     p = MatchParams((2, 2))
-    perms = color_permutations(2, p.sizes)
     for ec in free_coloring_classes(p, 4):
-        word = np.frombuffer(coloring_word(ec), dtype=np.uint8)
-        assert canonical_form(word, 4, perms) == word.tobytes()
+        word = coloring_word(ec)
+        assert canonical_form(word, 4, p.sizes) == word
 
 
 def test_verify_ramsey_small():
@@ -94,8 +91,7 @@ def test_critical_classes_for_2_2():
     assert report.structure_failures == ()
 
     # the explicit construction lands in the enumerated class
-    word = np.frombuffer(_word_from_coloring(construct_critical(p)), dtype=np.uint8)
-    cf = canonical_form(word, 4, color_permutations(2, p.sizes))
+    cf = canonical_form(_word_from_coloring(construct_critical(p)), 4, p.sizes)
     assert cf in {coloring_word(ec) for ec in report.critical_classes}
 
 
@@ -121,11 +117,46 @@ def test_guard_violations():
 
 
 def test_enumerate_graphs_counts():
-    # classes on n vertices and connected classes, n <= 6
-    assert [len(enumerate_graphs(n)) for n in range(7)] == [1, 1, 2, 4, 11, 34, 156]
-    connected = [len(enumerate_graphs(n, connected_only=True)) for n in range(1, 7)]
-    assert connected == [1, 1, 2, 6, 21, 112]
+    # classes on n vertices (OEIS A000088) and connected classes (A001349), n <= 8
+    graphs = [enumerate_graphs(n) for n in range(9)]
+    assert [len(gs) for gs in graphs] == [1, 1, 2, 4, 11, 34, 156, 1044, 12346]
+    connected = [sum(map(is_connected, gs)) for gs in graphs[1:]]
+    assert connected == [1, 1, 2, 6, 21, 112, 853, 11117]
+    assert [len(enumerate_graphs(n, connected_only=True)) for n in range(1, 7)] == connected[:6]
     assert all(is_connected(g) for g in enumerate_graphs(5, connected_only=True))
+
+
+@pytest.mark.parametrize(
+    "sizes,counts",
+    [
+        ((3, 3, 2), [1, 1, 2, 6, 23, 142, 249, 55, 3, 0]),
+        ((2, 2, 2, 2, 2), [1, 1, 1, 3, 9, 41, 37, 4, 0]),
+        ((4, 3), [1, 1, 2, 4, 11, 34, 55, 81, 10, 1, 0]),
+    ],
+)
+def test_free_class_counts_per_level(sizes, counts):
+    # counts per order 0..r measured with the brute-force n! table engine;
+    # any change to a prune or to canonicity shows up here
+    seen = [1, 1]
+    p = MatchParams(sizes)
+    report = verify_ramsey_exhaustive(p, guard=ramsey_value(p), progress=lambda m, k: seen.append(k))
+    assert report.verified and seen == counts
+
+
+def test_verify_beyond_the_old_table_ceiling():
+    # r = 10: the brute-force table engine needed 10! rows here
+    p = MatchParams((3, 3, 3))
+    report = verify_ramsey_exhaustive(p, guard=10)
+    assert report.verified and report.order_checked == 10
+    assert len(report.critical_classes) == 4
+    assert all(is_free(ec, p) for ec in report.critical_classes)
+
+
+def test_enumerate_critical_rejects_a_non_free_class(monkeypatch):
+    # the freeness re-check is an explicit exception, so it holds under python -O
+    monkeypatch.setattr("matching_ramsey.search.is_free", lambda ec, p: False)
+    with pytest.raises(RuntimeError, match="non-free"):
+        enumerate_critical(MatchParams((2, 2)))
 
 
 def test_structure_report_fields():
