@@ -13,15 +13,14 @@ spends its entire edge budget on the clique (a_1 = 0, equality in the edge
 bound) while every other class is a union of stars from A.
 """
 
-from matching_ramsey import MatchParams, enumerate_critical, find_structure, proof_ledger
+from matching_ramsey import MatchParams, enumerate_critical, proof_ledger
 
 for sizes in [(2, 2), (3, 2), (2, 2, 2), (3, 3)]:
     p = MatchParams(sizes)
     report = enumerate_critical(p)
-    print(f"{sizes}: {report.total_canonical_colorings} critical class(es) of K_{report.order_checked}, "
+    print(f"{sizes}: {len(report.critical_classes)} critical class(es) of K_{report.order_checked}, "
           f"structure failures: {len(report.structure_failures)}")
-    for ec in report.critical_classes:
-        witness = find_structure(ec, p)
+    for ec, witness in zip(report.critical_classes, report.witnesses):
         parts = [sorted(part) for part in witness.parts]
         print(f"  relabel {witness.color_relabel}, parts {parts}")
         for entry in proof_ledger(ec, p).per_color:

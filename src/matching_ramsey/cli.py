@@ -190,7 +190,7 @@ def cmd_critical(args) -> int:
     p = _params(args.sizes)
     report = _run_guarded(enumerate_critical, p, guard=args.guard, jobs=args.jobs)
     print(
-        f"order={report.order_checked} classes={report.total_canonical_colorings} "
+        f"order={report.order_checked} classes={len(report.critical_classes)} "
         f"structure_failures={len(report.structure_failures)}"
     )
     if args.output is not None:
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--output", "-o", default=None)
     sp.set_defaults(fn=cmd_critical)
 
-    sp = sub.add_parser("star", help="exhaustively confirm the star-critical value")
+    sp = sub.add_parser("star", help="confirm the star-critical value over every critical base")
     add_sizes(sp)
     add_search_flags(sp)
     sp.set_defaults(fn=cmd_star)

@@ -51,24 +51,22 @@ Progress = Callable[[int, int], None]
 
 
 def ramsey_value(p: MatchParams) -> int:
-    """n_1 + 1 + sum_i (n_i - 1)."""
-    return p.sizes[0] + 1 + sum(s - 1 for s in p.sizes)
+    """n_1 + 1 + sum_i (n_i - 1), one above the extremal order."""
+    return p.critical_order + 1
 
 
 @dataclass(frozen=True)
 class SearchReport:
     """Outcome of an exhaustive run at one order.
 
-    ``total_canonical_colorings`` counts the canonical classes materialised
-    at ``order_checked``; when freeness pruning is active (it always is for
-    the verification entry points) only free classes are materialised, so the
-    count coincides with ``free_count``.  ``critical_classes`` holds the free
-    canonical representatives of the extremal order r - 1.
+    ``free_count`` counts the free canonical classes at ``order_checked``;
+    ``critical_classes`` holds the free canonical representatives of the
+    extremal order r - 1.  ``elapsed`` is wall time and stays out of
+    :meth:`as_dict`, so serialised reports are deterministic.
     """
 
     params: MatchParams
     order_checked: int
-    total_canonical_colorings: int
     free_count: int
     critical_classes: tuple[EdgeColoring, ...]
     structure_failures: tuple[EdgeColoring, ...] = ()
@@ -91,11 +89,9 @@ class SearchReport:
         return {
             "params": list(self.params.sizes),
             "order_checked": self.order_checked,
-            "total_canonical_colorings": self.total_canonical_colorings,
             "free_count": self.free_count,
             "critical_classes": [coloring_to_dict(ec) for ec in self.critical_classes],
             "structure_failures": [coloring_to_dict(ec) for ec in self.structure_failures],
-            "elapsed_seconds": self.elapsed,
         }
 
 
@@ -291,7 +287,6 @@ def enumerate_critical(
     return SearchReport(
         params=p,
         order_checked=order,
-        total_canonical_colorings=len(classes),
         free_count=len(classes),
         critical_classes=tuple(classes),
         structure_failures=tuple(failures),
@@ -323,7 +318,6 @@ def verify_ramsey_exhaustive(
     return SearchReport(
         params=p,
         order_checked=r,
-        total_canonical_colorings=len(levels[r]),
         free_count=len(levels[r]),
         critical_classes=critical,
         elapsed=time.perf_counter() - started,

@@ -4,6 +4,10 @@ The naive orbit oracle here is deliberately independent of the search
 engine: it iterates every labelled coloring, filters, and partitions into
 orbits by canonical form.  Only the canonical-form routine is shared, and
 that is cross-checked separately against hand-counted orbit numbers.
+
+The brute-force star oracle builds every spoke configuration of a base as a
+host coloring and tests it with ``is_free``, independently of the
+Gallai-Edmonds spoke rule in :mod:`matching_ramsey.star`.
 """
 
 from __future__ import annotations
@@ -11,8 +15,16 @@ from __future__ import annotations
 import itertools
 import random
 
-from matching_ramsey import EdgeColoring, MatchParams, complete_graph, graph_from_edges, is_free
+from matching_ramsey import (
+    EdgeColoring,
+    MatchParams,
+    complete_graph,
+    find_structure,
+    graph_from_edges,
+    is_free,
+)
 from matching_ramsey.canon import canonical_form
+from matching_ramsey.star import _attach_center
 
 
 def random_graph(rng: random.Random, n: int, p: float):
@@ -44,3 +56,55 @@ def naive_orbit_reps(n: int, c: int, params: MatchParams | None = None, free_onl
 
 def coloring_word(ec: EdgeColoring) -> bytes:
     return bytes(col - 1 for col in ec.colors)
+
+
+def free_spoke_configs(base: EdgeColoring, p: MatchParams, k: int):
+    """Every (spokes, spoke_colors) with k spokes whose host coloring is free."""
+    for spokes in itertools.combinations(range(base.host.n), k):
+        for spoke_colors in itertools.product(range(1, p.c + 1), repeat=k):
+            if is_free(_attach_center(base, spokes, spoke_colors), p):
+                yield spokes, spoke_colors
+
+
+def brute_force_max_free_spokes(base: EdgeColoring, p: MatchParams) -> int:
+    """Largest k with a free k-spoke host coloring over ``base``.
+
+    Dropping a spoke keeps a host free, so the first k without one ends
+    the scan.
+    """
+    k = 0
+    while k < base.host.n and next(free_spoke_configs(base, p, k + 1), None) is not None:
+        k += 1
+    return k
+
+
+def brute_force_star(bases, p: MatchParams, m: int) -> tuple[bool, bool]:
+    """(upper_ok, clique_spoke_color_ok) by exhausting spoke configurations.
+
+    Upper bound: no placement of m + 1 spokes and no spoke coloring over any
+    base is free.  Clique corollary: no free m-spoke host has a spoke into
+    the base's clique V_1 in the clique's color.
+    """
+    nb = p.critical_order
+    upper_ok = True
+    for base in bases:
+        for spokes in itertools.combinations(range(nb), m + 1):
+            for spoke_colors in itertools.product(range(1, p.c + 1), repeat=m + 1):
+                if is_free(_attach_center(base, spokes, spoke_colors), p):
+                    upper_ok = False
+
+    clique_ok = True
+    for base in bases:
+        witness = find_structure(base, p)
+        if witness is None:
+            clique_ok = False
+            continue
+        v1 = witness.parts[0]
+        clique_color = witness.color_relabel.index(1) + 1
+        for spokes in itertools.combinations(range(nb), m):
+            for spoke_colors in itertools.product(range(1, p.c + 1), repeat=m):
+                if not is_free(_attach_center(base, spokes, spoke_colors), p):
+                    continue
+                if any(v in v1 and col == clique_color for v, col in zip(spokes, spoke_colors)):
+                    clique_ok = False
+    return upper_ok, clique_ok

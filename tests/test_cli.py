@@ -147,10 +147,15 @@ def test_construct_json_and_dot(capsys):
     assert code == 0 and out.startswith("graph coloring {")
 
 
-def test_byte_identical_reruns(capsys):
+def test_byte_identical_reruns(capsys, tmp_path):
     _, out1, _ = run(capsys, "construct", "3", "2")
     _, out2, _ = run(capsys, "construct", "3", "2")
     assert out1 == out2
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    for path in (first, second):
+        code, _, _ = run(capsys, "critical", "3", "2", "--format", "json", "-o", str(path))
+        assert code == 0
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_decompose_ecg_color_class(capsys, tmp_path):

@@ -1,14 +1,23 @@
+import random
+from itertools import combinations, product
+
 import pytest
 
 from matching_ramsey import (
+    EdgeColoring,
     MatchParams,
     StarHost,
+    complete_graph,
     construct_star_free,
+    enumerate_critical,
     is_free,
     ramsey_value,
     star_critical_value,
     verify_star_exhaustive,
 )
+from matching_ramsey.star import _attach_center, _spoke_colors
+
+from helpers import brute_force_max_free_spokes, brute_force_star
 
 
 def test_star_critical_values():
@@ -47,12 +56,10 @@ def test_verify_star_22():
     assert report.star_value == 2
     assert report.lower_ok and report.upper_ok
     assert report.clique_spoke_color_ok
-    assert report.order_identity_ok  # r - 1 - m = 2 n_1 - 1
-    assert report.slack_ok
     assert report.base_class_count == 1
-    # one base, C(4,2) spoke placements, 2^2 spoke colorings
-    assert report.placements_checked == 6
-    assert report.colorings_checked == 24
+    # one base of K_4: 4 spoke ends, each decided in 2 colors
+    assert report.placements_checked == 4
+    assert report.colorings_checked == 8
 
 
 def test_verify_star_single_color():
@@ -93,3 +100,54 @@ def test_star_value_slack_below_ramsey():
             if all(sizes[i] >= sizes[i + 1] for i in range(c - 1)):
                 p = MatchParams(sizes)
                 assert star_critical_value(p) < ramsey_value(p) - 1
+
+
+ORACLE_POINTS = [
+    (1,), (3,), (1, 1), (2, 1), (2, 2), (3, 2), (4, 2),
+    (2, 2, 1), (2, 2, 2), (3, 3), (3, 2, 2), (2, 2, 2, 2),
+]
+
+
+@pytest.mark.parametrize("sizes", ORACLE_POINTS)
+def test_verify_star_matches_brute_force_oracle(sizes):
+    p = MatchParams(sizes)
+    m = star_critical_value(p) - 1
+    bases = enumerate_critical(p).critical_classes
+    report = verify_star_exhaustive(p)
+    assert (report.upper_ok, report.clique_spoke_color_ok) == brute_force_star(bases, p, m)
+    assert report.verified and report.clique_spoke_color_ok
+    for base in bases:
+        admitting = sum(1 for colors in _spoke_colors(base, p) if colors)
+        assert admitting == brute_force_max_free_spokes(base, p)
+
+
+def test_spoke_rule_matches_is_free_on_random_free_colorings():
+    # a spoke configuration is free iff each spoke is allowed on its own
+    rng = random.Random(1905)
+    params = [MatchParams(s) for s in [(2, 2), (3, 2), (2, 2, 2), (3, 3), (3, 2, 2), (4, 3), (3, 3, 2)]]
+    outcomes = set()
+    bases = 0
+    while bases < 300:
+        p = rng.choice(params)
+        n = rng.randint(3, 6)
+        colors = tuple(rng.randint(1, p.c) for _ in range(n * (n - 1) // 2))
+        base = EdgeColoring(complete_graph(n), p.c, colors)
+        if not is_free(base, p):
+            continue
+        bases += 1
+        allowed = _spoke_colors(base, p)
+        for k in range(4):
+            for spokes in combinations(range(n), k):
+                for spoke_colors in product(range(1, p.c + 1), repeat=k):
+                    predicted = all(col in allowed[v] for v, col in zip(spokes, spoke_colors))
+                    assert predicted == is_free(_attach_center(base, spokes, spoke_colors), p)
+                    outcomes.add(predicted)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("sizes,guard", [((2, 2, 2, 2, 2), 8), ((4, 3), 9)])
+def test_verify_star_beyond_the_brute_force_reach(sizes, guard):
+    p = MatchParams(sizes)
+    report = verify_star_exhaustive(p, guard=guard)
+    assert report.verified and report.clique_spoke_color_ok
+    assert report.star_value == star_critical_value(p)
