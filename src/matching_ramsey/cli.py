@@ -136,15 +136,15 @@ def cmd_structure(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    if args.color is not None:
-        g = color_class(_parse_coloring(args.file), args.color)
-    else:
-        try:
+    try:
+        if args.color is not None:
+            g = color_class(_parse_coloring(args.file), args.color)
+        else:
             g = parse_adjlist(_read(args.file))
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-    ged = decompose(g)
-    report = verify_decomposition(g, ged)
+        ged = decompose(g)
+        report = verify_decomposition(g, ged)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     def fmt_set(s):
         return "{" + ",".join(str(v) for v in sorted(s)) + "}"
     print("D=" + ";".join(fmt_set(comp) for comp in ged.d_components))

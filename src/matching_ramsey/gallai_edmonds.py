@@ -6,10 +6,12 @@ For a graph G the canonical partition is
 * A(G): vertices outside D(G) with a neighbour in D(G),
 * C(G): everything else.
 
-The decomposition is computed straight from the definition -- one matching
-number per vertex deletion -- rather than by instrumenting the blossom
-search.  That costs n+1 matching calls, which is irrelevant at the graph
-sizes this library targets and keeps the computation independently checkable.
+The decomposition is computed straight from the definition rather than by
+instrumenting the blossom search: one maximum matching gives nu, then
+``matching.missed_mask`` asks, for each vertex v, whether G - v still has a
+matching of size nu (an early-exit test).  That is n+1 matching runs on
+adjacency masks, irrelevant at the graph sizes this library targets, and it
+keeps the computation independently checkable.
 
 The Gallai-Edmonds theorem asserts, for this partition:
 (a) each component of G[D] is factor-critical;
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph, VertexSet, bits, connected_components, induced_subgraph, mask_of
-from .matching import is_factor_critical, matching_number
+from .matching import is_factor_critical, matching_number, missed_mask
 
 SURPLUS_SUBSET_LIMIT = 20
 
@@ -48,9 +50,6 @@ class GEDecomposition:
     @property
     def d(self) -> VertexSet:
         return frozenset(v for comp in self.d_components for v in comp)
-
-    def parts(self) -> tuple[VertexSet, VertexSet, VertexSet]:
-        return self.d, self.a, self.c
 
 
 @dataclass(frozen=True)
@@ -93,14 +92,7 @@ def decompose(g: Graph) -> GEDecomposition:
     v lies in D iff some maximum matching misses v, i.e. iff deleting v does
     not decrease the matching number.
     """
-    nu = matching_number(g)
-    d_mask = 0
-    for v in range(g.n):
-        keep = ~(1 << v)
-        rows = [g.rows[u] & keep if u != v else 0 for u in range(g.n)]
-        sub = Graph(g.n, tuple(rows))
-        if matching_number(sub) == nu:
-            d_mask |= 1 << v
+    d_mask = missed_mask(g.rows, g.n, matching_number(g))
     a_mask = 0
     for v in range(g.n):
         if not d_mask >> v & 1 and g.rows[v] & d_mask:

@@ -59,12 +59,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
-    def neighbors_mask(self, v: int) -> int:
-        return self.rows[v]
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(bits(self.rows[v]))
-
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
@@ -78,9 +72,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
-
-    def vertex_mask(self) -> int:
-        return (1 << self.n) - 1
 
 
 def graph_from_edges(n: int, edges: Iterable[Edge]) -> Graph:

@@ -220,18 +220,26 @@ def brute_force_matching_number(g: Graph) -> int:
     return best((1 << g.n) - 1)
 
 
+def missed_mask(rows: Sequence[int], n: int, k: int) -> int:
+    """Bitmask of the vertices v such that the graph minus v still has a
+    matching of size ``k``.
+
+    With ``k`` the matching number these are the vertices some maximum
+    matching misses: the set D of the Gallai-Edmonds decomposition.
+    """
+    out = 0
+    for v in range(n):
+        keep = ~(1 << v)
+        sub = [rows[u] & keep if u != v else 0 for u in range(n)]
+        if has_k_matching_on_masks(sub, n, k):
+            out |= 1 << v
+    return out
+
+
 def is_factor_critical(g: Graph) -> bool:
     """True iff g - v has a perfect matching for every vertex v.
 
     Equivalently: n is odd and deleting any single vertex leaves matching
     number (n-1)/2.  The empty graph is not factor-critical; K_1 is.
     """
-    if g.n % 2 == 0 or g.n == 0:
-        return False
-    want = (g.n - 1) // 2
-    for v in range(g.n):
-        keep = ~(1 << v)
-        rows = [g.rows[u] & keep if u != v else 0 for u in range(g.n)]
-        if not has_k_matching_on_masks(rows, g.n, want):
-            return False
-    return True
+    return g.n % 2 == 1 and missed_mask(g.rows, g.n, g.n // 2) == (1 << g.n) - 1

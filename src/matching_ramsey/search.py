@@ -14,11 +14,12 @@ Colorings of K_m are ``bytes`` words in colex edge order (see
 word extending it, and the canonical (lex-min) word of a class always
 truncates to a canonical word.  The engine therefore keeps one canonical
 representative per class of K_m colorings and, per level, colors the m
-edges to a new vertex in all c^m ways, keeping exactly the extensions whose
-full word is again canonical.  Two prunes keep the tree small:
+edges to a new vertex in every allowed way, keeping exactly the extensions
+whose full word is again canonical.  Two prunes keep the tree small:
 
-* freeness is antitone under edge addition, so a partial row dies as soon as
-  the color just used completes a matching of its target size;
+* freeness: by the Gallai-Edmonds lemma a free representative fixes, once,
+  the colors each edge to the new vertex may take (``extension_colors``),
+  and the rows are the product of those choices, so every candidate is free;
 * candidate extensions that are not lex-minimal in their orbit are discarded
   (and with them their entire subtree, since canonicity is prefix-inherited).
 
@@ -38,12 +39,14 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import product
 from typing import Callable
 
 from .canon import edge_list, is_canonical
 from .coloring import EdgeColoring, MatchParams, StructureWitness, find_structure, is_free
 from .graph import Graph, complete_graph, graph_from_edges, is_connected
-from .matching import has_k_matching_on_masks
+from .matching import has_k_matching_on_masks, missed_mask
 
 DEFAULT_ORDER_GUARD = 8
 
@@ -69,7 +72,6 @@ class SearchReport:
     order_checked: int
     free_count: int
     critical_classes: tuple[EdgeColoring, ...]
-    structure_failures: tuple[EdgeColoring, ...] = ()
     elapsed: float = 0.0
     witnesses: tuple[StructureWitness | None, ...] = field(default=(), repr=False)
 
@@ -78,6 +80,11 @@ class SearchReport:
         """Upper bound (no free coloring at the checked order) plus lower
         bound (free colorings exist one order below)."""
         return self.free_count == 0 and len(self.critical_classes) > 0
+
+    @property
+    def structure_failures(self) -> tuple[EdgeColoring, ...]:
+        """Critical classes without a block-structure witness."""
+        return tuple(ec for ec, w in zip(self.critical_classes, self.witnesses) if w is None)
 
     @property
     def structure_ok(self) -> bool:
@@ -100,6 +107,29 @@ class SearchReport:
 # ---------------------------------------------------------------------------
 
 
+def extension_colors(word: bytes, m: int, sizes: tuple[int, ...]) -> list[list[int]]:
+    """For each vertex u of a free K_m word, the colors (0-based, increasing)
+    the edge from u to a new vertex may take.
+
+    Lemma (Gallai-Edmonds; proved in :mod:`matching_ramsey.star`): joining a
+    new vertex to a set S raises nu(G) exactly when S meets D(G).  The word
+    must be free, so every class i has nu <= n_i - 1; color i is then barred
+    at u exactly when class i is tight (nu = n_i - 1) and u lies in its D,
+    and by the lemma a whole row is free exactly when each of its edges is
+    allowed on its own.  A class with n_i = 1 is tight with D every vertex,
+    so its color is barred everywhere.
+    """
+    rows = [[0] * m for _ in sizes]
+    for col, (u, v) in zip(word, edge_list(m)):
+        rows[col][u] |= 1 << v
+        rows[col][v] |= 1 << u
+    barred = [
+        missed_mask(r, m, s - 1) if has_k_matching_on_masks(r, m, s - 1) else 0
+        for r, s in zip(rows, sizes)
+    ]
+    return [[i for i, d in enumerate(barred) if not d >> u & 1] for u in range(m)]
+
+
 def _extend_representative(
     word: bytes,
     m: int,
@@ -109,58 +139,17 @@ def _extend_representative(
 ) -> list[bytes]:
     """Canonical words of K_{m+1} whose K_m prefix is ``word``.
 
-    With ``sizes`` given, a partial row is abandoned as soon as the color
-    just assigned completes a matching of its target size (checked on the
-    class minus the fresh edge's endpoints, which is exact because the class
-    was free before the assignment).
+    With ``sizes`` given, each edge to the new vertex ranges over
+    :func:`extension_colors`, so every candidate row is free; otherwise over
+    all ``c`` colors.  Rows come in lexicographic order.
     """
-    prune = sizes is not None
-    masks: list[list[int]] = []
-    if prune:
-        masks = [[0] * (m + 1) for _ in range(c)]
-        for col, (u, v) in zip(word, edge_list(m)):
-            masks[col][u] |= 1 << v
-            masks[col][v] |= 1 << u
-    out: list[bytes] = []
-    base = len(word)
-    cand = bytearray(word) + bytearray(m)
-
-    def dead(col: int, u: int) -> bool:
-        # would edge (u, m) in this color complete a matching of size sizes[col]?
-        need = sizes[col] - 1  # type: ignore[index]
-        if need <= 0:
-            return True
-        drop = ~((1 << u) | (1 << m))
-        rows = [masks[col][v] & drop for v in range(m + 1)]
-        rows[u] = 0
-        rows[m] = 0
-        return has_k_matching_on_masks(rows, m + 1, need)
-
-    def assign(u: int) -> None:
-        if u == m:
-            if is_canonical(cand, m + 1, classes):
-                out.append(bytes(cand))
-            return
-        for col in range(c):
-            if prune:
-                if dead(col, u):
-                    continue
-                masks[col][u] |= 1 << m
-                masks[col][m] |= 1 << u
-                cand[base + u] = col
-                assign(u + 1)
-                masks[col][u] &= ~(1 << m)
-                masks[col][m] &= ~(1 << u)
-            else:
-                cand[base + u] = col
-                assign(u + 1)
-
-    assign(0)
+    allowed = [range(c)] * m if sizes is None else extension_colors(word, m, sizes)
+    out = []
+    for row in product(*allowed):
+        cand = word + bytes(row)
+        if is_canonical(cand, m + 1, classes):
+            out.append(cand)
     return out
-
-
-def _extend_worker(args: tuple) -> list[bytes]:
-    return _extend_representative(*args)
 
 
 def _generate_levels(
@@ -185,13 +174,13 @@ def _generate_levels(
         return levels
     for m in range(1, n):
         reps = levels[m]
-        tasks = [(word, m, c, classes, sizes) for word in reps]
-        if jobs > 1 and len(tasks) > 2 * jobs:
-            chunksize = max(1, len(tasks) // (4 * jobs))
+        extend = partial(_extend_representative, m=m, c=c, classes=classes, sizes=sizes)
+        if jobs > 1 and len(reps) > 2 * jobs:
+            chunksize = max(1, len(reps) // (4 * jobs))
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_extend_worker, tasks, chunksize=chunksize))
+                results = list(pool.map(extend, reps, chunksize=chunksize))
         else:
-            results = [_extend_worker(t) for t in tasks]
+            results = list(map(extend, reps))
         nxt = [w for sub in results for w in sub]
         levels.append(nxt)
         if progress is not None:
@@ -276,20 +265,15 @@ def enumerate_critical(
     order = ramsey_value(p) - 1
     classes = free_coloring_classes(p, order, guard=guard, jobs=jobs, progress=progress)
     witnesses: list[StructureWitness | None] = []
-    failures = []
     for ec in classes:
         if not is_free(ec, p):
             raise RuntimeError("generator emitted a non-free coloring")
-        w = find_structure(ec, p)
-        witnesses.append(w)
-        if w is None:
-            failures.append(ec)
+        witnesses.append(find_structure(ec, p))
     return SearchReport(
         params=p,
         order_checked=order,
         free_count=len(classes),
         critical_classes=tuple(classes),
-        structure_failures=tuple(failures),
         elapsed=time.perf_counter() - started,
         witnesses=tuple(witnesses),
     )

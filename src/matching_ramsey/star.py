@@ -25,6 +25,9 @@ D(G_i).  This is exact for any number of colors: the center is one vertex
 and the classes share no edges, so a spoke configuration is free exactly
 when each of its spokes is allowed on its own, and a base has a free
 k-spoke extension exactly when at least k of its vertices admit a spoke.
+The rule is ``search.extension_colors``, the same function that extends
+free representatives by one vertex in the orderly search: a spoke set is a
+partial row to a new vertex.
 
 A corollary of the structure theorem is also checked: in a free coloring
 with m spokes, no spoke into the monochromatic clique V_1 of the base
@@ -36,18 +39,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canon import edge_index
-from .coloring import (
-    EdgeColoring,
-    MatchParams,
-    color_class,
-    construct_critical,
-    critical_parts,
-    is_free,
-)
-from .gallai_edmonds import decompose
+from .coloring import EdgeColoring, MatchParams, construct_critical, critical_parts, is_free
 from .graph import Graph, VertexSet, complete_graph
-from .matching import matching_number
-from .search import DEFAULT_ORDER_GUARD, Progress, enumerate_critical
+from .search import (
+    DEFAULT_ORDER_GUARD,
+    Progress,
+    _word_from_coloring,
+    enumerate_critical,
+    extension_colors,
+)
 
 
 @dataclass(frozen=True)
@@ -145,19 +145,6 @@ class StarReport:
         }
 
 
-def _spoke_colors(base: EdgeColoring, p: MatchParams) -> tuple[frozenset[int], ...]:
-    """For each vertex of a free base, the colors a spoke to it may carry:
-    those whose class is slack or has the vertex outside its D set."""
-    barred = []
-    for i, target in enumerate(p.sizes, start=1):
-        cls = color_class(base, i)
-        barred.append(decompose(cls).d if matching_number(cls) == target - 1 else frozenset())
-    return tuple(
-        frozenset(i for i, d in enumerate(barred, start=1) if v not in d)
-        for v in range(base.host.n)
-    )
-
-
 def verify_star_exhaustive(
     p: MatchParams,
     *,
@@ -184,13 +171,13 @@ def verify_star_exhaustive(
     crit = enumerate_critical(p, guard=guard, jobs=jobs, progress=progress)
     upper_ok = clique_ok = True
     for base, witness in zip(crit.critical_classes, crit.witnesses):
-        allowed = _spoke_colors(base, p)
+        allowed = extension_colors(_word_from_coloring(base), nb, p.sizes)
         admitting = sum(1 for colors in allowed if colors)
         upper_ok = upper_ok and admitting <= m
         if witness is None:
             clique_ok = False
             continue
-        clique_color = witness.color_relabel.index(1) + 1
+        clique_color = witness.color_relabel.index(1)  # 0-based, as in ``allowed``
         if m and admitting >= m and any(clique_color in allowed[v] for v in witness.parts[0]):
             clique_ok = False
 

@@ -7,7 +7,7 @@ that is cross-checked separately against hand-counted orbit numbers.
 
 The brute-force star oracle builds every spoke configuration of a base as a
 host coloring and tests it with ``is_free``, independently of the
-Gallai-Edmonds spoke rule in :mod:`matching_ramsey.star`.
+Gallai-Edmonds extension rule ``matching_ramsey.search.extension_colors``.
 """
 
 from __future__ import annotations

@@ -166,6 +166,23 @@ def test_decompose_ecg_color_class(capsys, tmp_path):
     assert "A={3}" in out  # the star center of color class 2
 
 
+@pytest.mark.parametrize("color", ["5", "0"])
+def test_decompose_color_out_of_range(capsys, tmp_path, color):
+    path = tmp_path / "c.ecg"
+    run(capsys, "construct", "2", "2", "--output", str(path))
+    code, _, err = run(capsys, "decompose", str(path), "--color", color)
+    assert code == 2 and "error: color" in err
+
+
+def test_decompose_a_side_beyond_the_surplus_limit(capsys, tmp_path):
+    # 21 disjoint paths on 3 vertices: A holds the 21 middle vertices
+    path = tmp_path / "paths.adjlist"
+    edges = [f"{3 * i + j} {3 * i + j + 1}" for i in range(21) for j in range(2)]
+    path.write_text("63\n" + "\n".join(edges) + "\n")
+    code, _, err = run(capsys, "decompose", str(path))
+    assert code == 2 and "error: surplus check limited" in err
+
+
 def test_critical_json_output(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, _, _ = run(capsys, "critical", "2", "2", "--format", "json", "--output", str(out_path))

@@ -4,10 +4,13 @@ import pytest
 
 from matching_ramsey import (
     GEDecomposition,
+    Graph,
+    brute_force_matching_number,
     complete_graph,
     decompose,
     enumerate_graphs,
     graph_from_edges,
+    is_factor_critical,
     matching_number,
     matching_number_from_decomposition,
     verify_decomposition,
@@ -108,3 +111,25 @@ def test_random_order_eight_graphs():
         ged = decompose(g)
         assert verify_decomposition(g, ged).all_ok
         assert matching_number_from_decomposition(g, ged) == matching_number(g)
+
+
+def test_d_and_factor_criticality_match_the_brute_force_oracle():
+    # D = {v : nu(G - v) = nu(G)}; factor-critical = n odd and every G - v
+    # has a perfect matching; both read off the exhaustive matching number
+    rng = random.Random(8128)
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        g = random_graph(rng, n, rng.random())
+        nu = brute_force_matching_number(g)
+        nus = [
+            brute_force_matching_number(
+                Graph(n, tuple(0 if u == v else row & ~(1 << v) for u, row in enumerate(g.rows)))
+            )
+            for v in range(n)
+        ]
+        assert decompose(g).d == frozenset(v for v in range(n) if nus[v] == nu)
+        critical = n % 2 == 1 and all(k == n // 2 for k in nus)
+        assert is_factor_critical(g) == critical
+        seen.add((critical and n > 1, 0 in g.rows))
+    assert seen == {(False, False), (False, True), (True, False)}

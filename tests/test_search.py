@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -15,7 +16,7 @@ from matching_ramsey import (
     verify_ramsey_exhaustive,
 )
 from matching_ramsey.canon import canonical_form
-from matching_ramsey.search import _word_from_coloring
+from matching_ramsey.search import _generate_levels, _word_from_coloring
 
 from helpers import coloring_word, naive_orbit_reps
 
@@ -141,6 +142,24 @@ def test_free_class_counts_per_level(sizes, counts):
     assert report.verified and seen == counts
 
 
+@pytest.mark.parametrize(
+    "n,c,sizes,classes,digest",
+    [
+        (9, 3, (3, 3, 2), (3, 3, 2), "636db7c92ec8d226b34dd55cc2eed87e559862bdaa57c526baafa9ab26fec9d6"),
+        (8, 5, (2, 2, 2, 2, 2), (2, 2, 2, 2, 2), "2c04e4f3ad9824763611329547c847b743ad9e1b8710a26714a4233713441e06"),
+        (10, 2, (4, 3), (4, 3), "7f72851096a540b1c04e3872eb5db06f809823464ececf63e2cddfaff963f3ff"),
+        (7, 2, None, (0, 1), "39728918fe5cbbeba51f8432cec1251272b09801b8860cbba13671ab7ce8673f"),
+    ],
+    ids=["3-3-2", "2-2-2-2-2", "4-3", "graphs-7"],
+)
+def test_representative_lists_are_pinned(n, c, sizes, classes, digest):
+    # sha256 of the representative lists at every order 0..n, measured with
+    # the earlier engine that pruned rows vertex by vertex with a matching
+    # test per (vertex, color); the last case is every graph of order <= 7
+    levels = _generate_levels(n, c, sizes=sizes, classes=classes)
+    assert hashlib.sha256(repr(levels).encode()).hexdigest() == digest
+
+
 def test_verify_beyond_the_old_table_ceiling():
     # r = 10: the brute-force table engine needed 10! rows here
     p = MatchParams((3, 3, 3))
@@ -155,6 +174,15 @@ def test_enumerate_critical_rejects_a_non_free_class(monkeypatch):
     monkeypatch.setattr("matching_ramsey.search.is_free", lambda ec, p: False)
     with pytest.raises(RuntimeError, match="non-free"):
         enumerate_critical(MatchParams((2, 2)))
+
+
+def test_structure_failures_are_the_classes_without_a_witness(monkeypatch):
+    monkeypatch.setattr("matching_ramsey.search.find_structure", lambda ec, p: None)
+    report = enumerate_critical(MatchParams((3, 2)))
+    assert report.structure_failures == report.critical_classes != ()
+    assert not report.structure_ok
+    payload = report.as_dict()
+    assert payload["structure_failures"] == payload["critical_classes"]
 
 
 def test_structure_report_fields():

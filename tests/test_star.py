@@ -15,9 +15,17 @@ from matching_ramsey import (
     star_critical_value,
     verify_star_exhaustive,
 )
-from matching_ramsey.star import _attach_center, _spoke_colors
+from matching_ramsey.search import _word_from_coloring, extension_colors
+from matching_ramsey.star import _attach_center
 
 from helpers import brute_force_max_free_spokes, brute_force_star
+
+
+def allowed_spoke_colors(base, p):
+    """The 1-based colors a spoke to each base vertex may carry, from the
+    extension rule shared with the orderly search."""
+    allowed = extension_colors(_word_from_coloring(base), base.host.n, p.sizes)
+    return [{col + 1 for col in colors} for colors in allowed]
 
 
 def test_star_critical_values():
@@ -117,12 +125,14 @@ def test_verify_star_matches_brute_force_oracle(sizes):
     assert (report.upper_ok, report.clique_spoke_color_ok) == brute_force_star(bases, p, m)
     assert report.verified and report.clique_spoke_color_ok
     for base in bases:
-        admitting = sum(1 for colors in _spoke_colors(base, p) if colors)
+        admitting = sum(1 for colors in allowed_spoke_colors(base, p) if colors)
         assert admitting == brute_force_max_free_spokes(base, p)
 
 
 def test_spoke_rule_matches_is_free_on_random_free_colorings():
-    # a spoke configuration is free iff each spoke is allowed on its own
+    # a spoke configuration is free iff each spoke is allowed on its own; a
+    # spoke set is a partial row to a new vertex, so this also covers the
+    # freeness prune of the orderly search
     rng = random.Random(1905)
     params = [MatchParams(s) for s in [(2, 2), (3, 2), (2, 2, 2), (3, 3), (3, 2, 2), (4, 3), (3, 3, 2)]]
     outcomes = set()
@@ -135,7 +145,7 @@ def test_spoke_rule_matches_is_free_on_random_free_colorings():
         if not is_free(base, p):
             continue
         bases += 1
-        allowed = _spoke_colors(base, p)
+        allowed = allowed_spoke_colors(base, p)
         for k in range(4):
             for spokes in combinations(range(n), k):
                 for spoke_colors in product(range(1, p.c + 1), repeat=k):
