@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--params", dest="sizes", type=int, nargs="+", required=True)
     sp.set_defaults(fn=cmd_free_check)
 
-    sp = sub.add_parser("structure", help="search for a block-structure witness")
+    sp = sub.add_parser("structure", help="read off the block-structure witness")
     sp.add_argument("file")
     sp.add_argument("--params", dest="sizes", type=int, nargs="+", required=True)
     sp.set_defaults(fn=cmd_structure)

@@ -12,7 +12,7 @@ This module carries the constructive and structural side of the theory:
   most n_i - 1;
 * the block-structure certificate for free colorings of the extremal
   complete graph (:class:`StructureWitness`, checked by
-  :func:`check_structure`, searched for by :func:`find_structure`);
+  :func:`check_structure`, read off the coloring by :func:`find_structure`);
 * per-color Gallai-Edmonds bookkeeping used by the edge-counting argument
   (:func:`proof_ledger`);
 * partition contraction and matching lifting, which transport monochromatic
@@ -254,39 +254,18 @@ def _is_complete(g: Graph) -> bool:
     return g.edge_count == g.n * (g.n - 1) // 2
 
 
-def _cliques_of_size(g: Graph, k: int) -> Iterator[frozenset[int]]:
-    """All k-vertex cliques, restricted to vertices of degree >= k - 1."""
-    if k == 0:
-        yield frozenset()
-        return
-    eligible = mask_of(v for v in range(g.n) if g.degree(v) >= k - 1)
-
-    def grow(current: list[int], candidates: int) -> Iterator[frozenset[int]]:
-        if len(current) == k:
-            yield frozenset(current)
-            return
-        m = candidates
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            if len(current) + 1 + (m.bit_count()) < k:
-                break
-            current.append(v)
-            yield from grow(current, m & g.rows[v])
-            current.pop()
-
-    yield from grow([], eligible)
-
-
 def find_structure(ec: EdgeColoring, p: MatchParams) -> StructureWitness | None:
-    """Search for a block-structure witness.
+    """The block-structure witness of ``ec``, or None when none exists.
 
-    For each color m with n_m = n_1, every clique of size 2 n_1 - 1 in class
-    m is tried as V_1.  The remaining assignment is forced: a vertex outside
-    V_1 must see V_1 monochromatically, and that color names its part.  The
-    assembled witness is validated through :func:`check_structure`; None
-    means no witness exists.
+    The witness is forced, so nothing is searched.  A witness that gives V_1
+    the old color m makes class m exactly the clique on V_1: edges inside V_1
+    carry label 1, and every other edge carries the label of a part i >= 2.
+    Hence V_1 is the set of vertices of degree at least 2 n_1 - 2 in class m
+    (for n_1 = 1 the order is 1 and V_1 = {0}).  Every other vertex sees V_1
+    in the color of its part, and the colors j != m take the labels 2..c in
+    increasing order, which keeps the target sizes because every color below
+    m is tied with n_1.  For each tied color m in turn the forced candidate
+    is built and :func:`check_structure` alone accepts or rejects it.
     """
     if not _is_complete(ec.host):
         raise ValueError("structure search requires a complete host graph")
@@ -294,55 +273,25 @@ def find_structure(ec: EdgeColoring, p: MatchParams) -> StructureWitness | None:
         raise ValueError(
             f"host order {ec.host.n} differs from the extremal order {p.critical_order}"
         )
+    n = ec.host.n
     n1 = p.sizes[0]
-    clique_size = 2 * n1 - 1
-    vertex_all = frozenset(range(ec.host.n))
-
     for m in (i for i in range(1, p.c + 1) if p.sizes[i - 1] == n1):
         cls = color_class(ec, m)
-        for clique in _cliques_of_size(cls, clique_size):
-            witness = _assemble_witness(ec, p, m, clique, vertex_all)
-            if witness is not None and check_structure(ec, p, witness):
-                return witness
-    return None
-
-
-def _assemble_witness(
-    ec: EdgeColoring,
-    p: MatchParams,
-    m: int,
-    clique: frozenset[int],
-    vertex_all: frozenset[int],
-) -> StructureWitness | None:
-    grouped: dict[int, set[int]] = {}
-    for v in vertex_all - clique:
-        seen = {ec.color_of(v, w) for w in clique}
-        if len(seen) != 1:
-            return None
-        j = next(iter(seen))
-        if j == m:
-            return None
-        grouped.setdefault(j, set()).add(v)
-
-    for j in range(1, p.c + 1):
-        if j == m:
+        v1 = frozenset(v for v in range(n) if cls.degree(v) >= 2 * n1 - 2)
+        if not v1:  # class m has no clique on 2 n_1 - 1 >= 3 vertices
             continue
-        if len(grouped.get(j, ())) != p.sizes[j - 1] - 1:
-            return None
-
-    # old colors j != m matched to new labels 2..c within equal target sizes
-    old_rest = sorted((j for j in range(1, p.c + 1) if j != m), key=lambda j: (-p.sizes[j - 1], j))
-    new_rest = sorted(range(2, p.c + 1), key=lambda i: (-p.sizes[i - 1], i))
-    relabel = [0] * p.c
-    relabel[m - 1] = 1
-    parts: list[VertexSet] = [frozenset()] * p.c
-    parts[0] = clique
-    for j, i in zip(old_rest, new_rest):
-        if p.sizes[j - 1] != p.sizes[i - 1]:
-            return None
-        relabel[j - 1] = i
-        parts[i - 1] = frozenset(grouped.get(j, ()))
-    return StructureWitness(tuple(relabel), tuple(parts))
+        order = [m] + [j for j in range(1, p.c + 1) if j != m]
+        relabel = tuple(order.index(j) + 1 for j in range(1, p.c + 1))
+        # a vertex that sees V_1 in several colors is filed under the color of
+        # its edge to `anchor`; check_structure then rejects the V_1 edges
+        anchor = min(v1)
+        parts: list[set[int]] = [set() for _ in range(p.c)]
+        for v in range(n):
+            parts[0 if v in v1 else relabel[ec.color_of(v, anchor) - 1] - 1].add(v)
+        witness = StructureWitness(relabel, tuple(frozenset(part) for part in parts))
+        if check_structure(ec, p, witness):
+            return witness
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,11 @@ The Gallai-Edmonds theorem asserts, for this partition:
 (e) the matching number equals (|V| - omega(D) + |A|) / 2, with omega(D) the
     number of D-components.
 
-:func:`verify_decomposition` checks each clause on a given partition; clause
-(d) is certified through clause (e) plus per-part matching numbers instead of
-quantifying over all maximum matchings.
+:func:`verify_decomposition` checks each clause on a given partition.  Clause
+(d) is certified through (b), (e) and a near-perfect matching in each odd
+D-component instead of quantifying over all maximum matchings; a component
+that passes (a) is odd with such a matching already, so only a component
+that fails (a) is matched again, on the subgraph (a) built.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph, VertexSet, bits, connected_components, induced_subgraph, mask_of
-from .matching import is_factor_critical, matching_number, missed_mask
+from .matching import has_matching_of_size, is_factor_critical, matching_number, missed_mask
 
 SURPLUS_SUBSET_LIMIT = 20
 
@@ -101,7 +103,6 @@ def decompose(g: Graph) -> GEDecomposition:
 
     sub_d, order = induced_subgraph(g, bits(d_mask))
     comps = [frozenset(order[i] for i in comp) for comp in connected_components(sub_d)]
-    comps.sort(key=min)
     return GEDecomposition(tuple(comps), frozenset(bits(a_mask)), frozenset(bits(c_mask)))
 
 
@@ -162,7 +163,9 @@ def verify_decomposition(g: Graph, ged: GEDecomposition) -> VerificationReport:
     if (d_mask | a_mask | c_mask) != (1 << g.n) - 1:
         raise ValueError("decomposition does not cover the vertex set")
 
-    a_ok = all(is_factor_critical(induced_subgraph(g, comp)[0]) for comp in ged.d_components)
+    subs = [induced_subgraph(g, comp)[0] for comp in ged.d_components]
+    critical = [is_factor_critical(sub) for sub in subs]
+    a_ok = all(critical)
 
     c_sub, _ = induced_subgraph(g, ged.c)
     b_ok = len(ged.c) % 2 == 0 and matching_number(c_sub) == len(ged.c) // 2
@@ -173,9 +176,11 @@ def verify_decomposition(g: Graph, ged: GEDecomposition) -> VerificationReport:
     formula = g.n - len(ged.d_components) + len(ged.a)
     e_ok = formula % 2 == 0 and nu == formula // 2
 
+    # a factor-critical component is odd with a near-perfect matching, so
+    # only the others need the (d) per-part test
     per_part_ok = all(
-        matching_number(induced_subgraph(g, comp)[0]) == (len(comp) - 1) // 2 and len(comp) % 2 == 1
-        for comp in ged.d_components
+        fc or (sub.n % 2 == 1 and has_matching_of_size(sub, sub.n // 2))
+        for fc, sub in zip(critical, subs)
     )
     d_ok = e_ok and b_ok and per_part_ok
 

@@ -72,8 +72,8 @@ class SearchReport:
     order_checked: int
     free_count: int
     critical_classes: tuple[EdgeColoring, ...]
+    witnesses: tuple[StructureWitness | None, ...] = field(repr=False)
     elapsed: float = 0.0
-    witnesses: tuple[StructureWitness | None, ...] = field(default=(), repr=False)
 
     @property
     def verified(self) -> bool:
@@ -248,6 +248,25 @@ def free_coloring_classes(
     return [_coloring_from_word(w, order, p.c) for w in levels[order]]
 
 
+def _report(
+    p: MatchParams, order: int, free_count: int, classes: list[EdgeColoring], started: float
+) -> SearchReport:
+    """Re-check each critical class through the public freeness test (a
+    pruning bug cannot fabricate freeness) and read its block-structure
+    witness."""
+    for ec in classes:
+        if not is_free(ec, p):
+            raise RuntimeError("generator emitted a non-free coloring")
+    return SearchReport(
+        params=p,
+        order_checked=order,
+        free_count=free_count,
+        critical_classes=tuple(classes),
+        witnesses=tuple(find_structure(ec, p) for ec in classes),
+        elapsed=time.perf_counter() - started,
+    )
+
+
 def enumerate_critical(
     p: MatchParams,
     *,
@@ -257,26 +276,13 @@ def enumerate_critical(
 ) -> SearchReport:
     """Enumerate the critical classes: free colorings of K_{r-1}.
 
-    Every class is re-checked through the public freeness test (a pruning
-    bug cannot fabricate freeness) and then searched for a block-structure
+    Every class is re-checked for freeness and given its block-structure
     witness; classes without one are reported in ``structure_failures``.
     """
     started = time.perf_counter()
     order = ramsey_value(p) - 1
     classes = free_coloring_classes(p, order, guard=guard, jobs=jobs, progress=progress)
-    witnesses: list[StructureWitness | None] = []
-    for ec in classes:
-        if not is_free(ec, p):
-            raise RuntimeError("generator emitted a non-free coloring")
-        witnesses.append(find_structure(ec, p))
-    return SearchReport(
-        params=p,
-        order_checked=order,
-        free_count=len(classes),
-        critical_classes=tuple(classes),
-        elapsed=time.perf_counter() - started,
-        witnesses=tuple(witnesses),
-    )
+    return _report(p, order, len(classes), classes, started)
 
 
 def verify_ramsey_exhaustive(
@@ -290,7 +296,8 @@ def verify_ramsey_exhaustive(
 
     Upper bound: no free coloring of K_r survives generation (freeness is
     antitone in the order, so larger orders need no separate check).  Lower
-    bound: the free classes of K_{r-1} are nonempty.
+    bound: the free classes of K_{r-1} are nonempty; they are re-checked and
+    given witnesses as in :func:`enumerate_critical`.
     """
     started = time.perf_counter()
     r = ramsey_value(p)
@@ -298,14 +305,8 @@ def verify_ramsey_exhaustive(
     levels = _generate_levels(
         r, p.c, sizes=p.sizes, classes=p.sizes, jobs=jobs, progress=progress
     )
-    critical = tuple(_coloring_from_word(w, r - 1, p.c) for w in levels[r - 1])
-    return SearchReport(
-        params=p,
-        order_checked=r,
-        free_count=len(levels[r]),
-        critical_classes=critical,
-        elapsed=time.perf_counter() - started,
-    )
+    critical = [_coloring_from_word(w, r - 1, p.c) for w in levels[r - 1]]
+    return _report(p, r, len(levels[r]), critical, started)
 
 
 # ---------------------------------------------------------------------------

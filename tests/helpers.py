@@ -8,6 +8,10 @@ that is cross-checked separately against hand-counted orbit numbers.
 The brute-force star oracle builds every spoke configuration of a base as a
 host coloring and tests it with ``is_free``, independently of the
 Gallai-Edmonds extension rule ``matching_ramsey.search.extension_colors``.
+
+The brute-force structure oracle tries every vertex subset of the right
+size as V_1, independently of the forced-V_1 argument of
+``matching_ramsey.find_structure``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import random
 from matching_ramsey import (
     EdgeColoring,
     MatchParams,
+    StructureWitness,
+    check_structure,
     complete_graph,
     find_structure,
     graph_from_edges,
@@ -108,3 +114,32 @@ def brute_force_star(bases, p: MatchParams, m: int) -> tuple[bool, bool]:
                 if any(v in v1 and col == clique_color for v, col in zip(spokes, spoke_colors)):
                     clique_ok = False
     return upper_ok, clique_ok
+
+
+def brute_force_structure(ec: EdgeColoring, p: MatchParams) -> StructureWitness | None:
+    """The first witness found by trying every (2 n_1 - 1)-subset as V_1.
+
+    Tied colors m (n_m = n_1) are tried in increasing order and the subsets
+    in lexicographic order.  Every vertex outside V_1 must see V_1 in one
+    color j != m, which names its part.  Color m takes label 1 and the other
+    colors labels 2..c in increasing order: labels of equal target size play
+    symmetric roles in ``check_structure``, so this loses no witness.
+    """
+    n = ec.host.n
+    for m in (i for i in range(1, p.c + 1) if p.sizes[i - 1] == p.sizes[0]):
+        order = [m] + [j for j in range(1, p.c + 1) if j != m]
+        relabel = tuple(order.index(j) + 1 for j in range(1, p.c + 1))
+        for v1 in itertools.combinations(range(n), 2 * p.sizes[0] - 1):
+            parts = [set(v1)] + [set() for _ in range(p.c - 1)]
+            for v in range(n):
+                if v in v1:
+                    continue
+                seen = {ec.color_of(v, u) for u in v1}
+                if len(seen) != 1 or m in seen:
+                    break
+                parts[relabel[seen.pop() - 1] - 1].add(v)
+            else:
+                witness = StructureWitness(relabel, tuple(frozenset(part) for part in parts))
+                if check_structure(ec, p, witness):
+                    return witness
+    return None

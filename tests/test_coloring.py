@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -14,6 +15,7 @@ from matching_ramsey import (
     construct_critical,
     contract_partition,
     critical_parts,
+    enumerate_critical,
     find_monochromatic_matching,
     find_structure,
     graph_from_edges,
@@ -22,6 +24,9 @@ from matching_ramsey import (
     lift_matching,
     matching_profile,
 )
+from matching_ramsey.canon import edge_index
+
+from helpers import all_colorings, brute_force_structure
 
 
 def monochromatic(n, c=1, color=1):
@@ -236,3 +241,51 @@ def test_lift_matching_monochromatic_pair():
     assert is_valid_matching(host, lifted)
     for (i, j), (u, v) in zip(m.edges, lifted.edges):
         assert contracted.color_of(i, j) == ec.color_of(u, v)
+
+
+def permuted_critical(p, rng):
+    """The Cockayne-Lorimer color table under a random vertex permutation."""
+    ec = construct_critical(p)
+    perm = list(range(ec.host.n))
+    rng.shuffle(perm)
+    table = [0] * len(ec.colors)
+    for u, v, col in ec.edges_with_colors():
+        table[edge_index(perm[u], perm[v])] = col
+    return table
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (2, 2, 1), (2, 1, 1)],
+    ids=lambda sizes: "-".join(map(str, sizes)),
+)
+def test_find_structure_matches_the_oracle_on_every_coloring(sizes):
+    p = MatchParams(sizes)
+    for ec in all_colorings(p.critical_order, p.c):
+        assert find_structure(ec, p) == brute_force_structure(ec, p), ec.colors
+
+
+def test_find_structure_matches_the_oracle_on_critical_and_perturbed_colorings():
+    for sizes in [(2, 2, 2, 2), (3, 3, 2), (4, 3)]:
+        p = MatchParams(sizes)
+        classes = enumerate_critical(p, guard=9).critical_classes
+        assert classes
+        for ec in classes:
+            assert find_structure(ec, p) == brute_force_structure(ec, p) is not None
+
+    # relabelled critical colorings, and the same with one edge recolored
+    rng = random.Random(6061)
+    outcomes = set()
+    for sizes in [(3, 3, 2), (4, 3), (3, 3, 3), (4, 4, 2, 2)]:
+        p = MatchParams(sizes)
+        host = complete_graph(p.critical_order)
+        for _ in range(15):
+            table = permuted_critical(p, rng)
+            ec = EdgeColoring(host, p.c, tuple(table))
+            assert find_structure(ec, p) == brute_force_structure(ec, p) is not None
+            table[rng.randrange(len(table))] = rng.randint(1, p.c)
+            ec = EdgeColoring(host, p.c, tuple(table))
+            witness = find_structure(ec, p)
+            assert witness == brute_force_structure(ec, p)
+            outcomes.add(witness is None)
+    assert outcomes == {True, False}

@@ -68,6 +68,22 @@ def test_verify_rejects_non_partition():
         verify_decomposition(g, overlapping)
 
 
+def test_verify_a_fabricated_partition_of_p3():
+    # P3 is odd with a near-perfect matching but not factor-critical, so
+    # clause (d) holds although clause (a) fails
+    p3 = graph_from_edges(3, [(0, 1), (1, 2)])
+    fake = GEDecomposition((frozenset({0, 1, 2}),), frozenset(), frozenset())
+    assert verify_decomposition(p3, fake).as_dict() == {
+        "components_factor_critical": False,
+        "c_has_perfect_matching": True,
+        "positive_surplus": True,
+        "maximum_matching_structure": True,
+        "size_formula_holds": True,
+        "matching_number": 1,
+        "formula_value": 1,
+    }
+
+
 def test_all_graphs_up_to_six_vertices():
     for n in range(7):
         for g in enumerate_graphs(n):

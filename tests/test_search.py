@@ -178,11 +178,12 @@ def test_enumerate_critical_rejects_a_non_free_class(monkeypatch):
 
 def test_structure_failures_are_the_classes_without_a_witness(monkeypatch):
     monkeypatch.setattr("matching_ramsey.search.find_structure", lambda ec, p: None)
-    report = enumerate_critical(MatchParams((3, 2)))
-    assert report.structure_failures == report.critical_classes != ()
-    assert not report.structure_ok
-    payload = report.as_dict()
-    assert payload["structure_failures"] == payload["critical_classes"]
+    for entry in (enumerate_critical, verify_ramsey_exhaustive):
+        report = entry(MatchParams((3, 2)))
+        assert report.structure_failures == report.critical_classes != ()
+        assert not report.structure_ok
+        payload = report.as_dict()
+        assert payload["structure_failures"] == payload["critical_classes"]
 
 
 def test_structure_report_fields():
