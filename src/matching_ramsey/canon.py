@@ -25,6 +25,14 @@ larger symbol at that position.  Twin vertices, which see every other vertex
 in the same colors, are interchangeable, so only one of them is tried at
 each position.  Nothing of size n! is built, so the test has no order limit.
 
+A ``Prefix`` is the state that the one-vertex extensions of a K_m word
+share: color rows, class members, unused colors and twin classes, which
+only ``Prefix.joined`` computes (a class splits by the new vertex's colors,
+and the new vertex joins at most one class).  The search builds it once per
+representative.  ``has_smaller_swap`` drops a row that swapping two twins,
+or two same-class colors the prefix never uses, makes smaller, and
+``is_canonical`` extends the state by the word's last block.
+
 ``perm_edge_table`` and ``canonical_form`` compute the orbit minimum by brute
 force over every vertex and color permutation.  They are the reference the
 tests compare ``is_canonical`` against, not part of the search.
@@ -53,33 +61,89 @@ def edge_list(n: int) -> list[tuple[int, int]]:
     return [(u, v) for v in range(n) for u in range(v)]
 
 
-def is_canonical(word, n: int, classes: tuple[int, ...]) -> bool:
+class Prefix:
+    """What every one-vertex extension of a K_m word shares.
+
+    ``rows[v]``: the colors from v to every vertex (-1 at v itself);
+    ``members``: the colors of each class label; ``twins``: the twin classes
+    in order of their least member; ``twin_pairs`` and ``free``: consecutive
+    members of a twin class, and consecutive unused colors of a class.
+    """
+
+    __slots__ = ("members", "rows", "twins", "twin_pairs", "free")
+
+    def __init__(self, word, m: int, classes: tuple[int, ...]) -> None:
+        self.members: dict[int, list[int]] = {}
+        for col, label in enumerate(classes):
+            self.members.setdefault(label, []).append(col)
+        self.rows, self.twins = [], []
+        for k in range(m):
+            self.rows, self.twins = self.joined(word[k * (k - 1) // 2 : k * (k + 1) // 2])
+        self.twin_pairs = [pair for twins in self.twins for pair in zip(twins, twins[1:])]
+        unused = [[col for col in cols if col not in word] for cols in self.members.values()]
+        self.free = [pair for cols in unused for pair in zip(cols, cols[1:])]
+
+    def joined(self, block) -> tuple[list[list[int]], list[list[int]]]:
+        """Rows and twin classes once a new vertex joins with colors ``block``.
+
+        Twins see every other vertex in the same colors.  Being twins is
+        transitive, so a twin class splits by its colors in ``block``, and the
+        new vertex joins at most one class, checked against its first member.
+        """
+        k = len(self.rows)
+        row = list(block)
+        rows = [r + [row[v]] for v, r in enumerate(self.rows)] + [row + [-1]]
+        twins = []
+        for old in self.twins:
+            split: dict[int, list[int]] = {}
+            for v in old:
+                split.setdefault(row[v], []).append(v)
+            twins.extend(split.values())
+        for cls in twins:
+            v = cls[0]
+            if row[:v] == rows[v][:v] and row[v + 1 :] == rows[v][v + 1 : k]:
+                cls.append(k)
+                break
+        else:
+            twins.append([k])
+        twins.sort()
+        return rows, twins
+
+    def has_smaller_swap(self, row: bytes) -> bool:
+        """Does swapping two twins, or two unused colors of one class, make
+        the new vertex's ``row`` smaller?
+
+        Either swap is an automorphism of the prefix that fixes the new
+        vertex, so the extended word is then not its orbit minimum.  Twins
+        u < w need row[u] <= row[w]; unused colors of a class must first
+        appear in increasing order.  Checking consecutive pairs is enough.
+        """
+        for u, w in self.twin_pairs:
+            if row[u] > row[w]:
+                return True
+        for a, b in self.free:
+            j = row.find(b)
+            if j >= 0 and not 0 <= row.find(a) < j:
+                return True
+        return False
+
+
+def is_canonical(word, n: int, classes: tuple[int, ...], prefix: Prefix | None = None) -> bool:
     """Is ``word`` (a K_n word, bytes-like) the lexicographic minimum of its orbit?
 
     ``classes`` holds one label per color; the allowed color permutations are
-    those that keep every color inside its label's class.
+    those that keep every color inside its label's class.  ``prefix`` is the
+    :class:`Prefix` of the word's K_{n-1} prefix; it is built here when omitted.
     """
     if n < 2:
         return True
     targets = [word[k * (k - 1) // 2 : k * (k + 1) // 2] for k in range(n)]
-    colors = [[*targets[v], -1, *(targets[w][v] for w in range(v + 1, n))] for v in range(n)]
-    # Twins see every other vertex in the same colors, so swapping two of them
-    # is an automorphism of the word and they are interchangeable in the
-    # search: only the first unplaced vertex of each twin class is tried.
-    # Being twins is transitive, so comparing with a class's first member is enough.
-    twin_classes: list[list[int]] = []
-    for v, rv in enumerate(colors):
-        for twins in twin_classes:
-            u = twins[0]
-            ru = colors[u]
-            if ru[:u] == rv[:u] and ru[u + 1 : v] == rv[u + 1 : v] and ru[v + 1 :] == rv[v + 1 :]:
-                twins.append(v)
-                break
-        else:
-            twin_classes.append([v])
-    members: dict[int, list[int]] = {}
-    for col, label in enumerate(classes):
-        members.setdefault(label, []).append(col)
+    if prefix is None:
+        prefix = Prefix(word[: (n - 1) * (n - 2) // 2], n - 1, classes)
+    # Swapping two twins is an automorphism of the word, so only the first
+    # unplaced vertex of each twin class is tried at each position.
+    colors, twin_classes = prefix.joined(targets[-1])
+    members = prefix.members
     # The greedy color mapping and the twin rule both take the first unused
     # member of a class, so one counter per class is the whole state.
     used_colors = dict.fromkeys(members, 0)

@@ -24,6 +24,7 @@ from .coloring import (
     proof_ledger,
 )
 from .formats import (
+    check_graph_order,
     coloring_to_dict,
     format_dot,
     format_ecg,
@@ -138,7 +139,9 @@ def cmd_structure(args) -> int:
 def cmd_decompose(args) -> int:
     try:
         if args.color is not None:
-            g = color_class(_parse_coloring(args.file), args.color)
+            ec = _parse_coloring(args.file)
+            check_graph_order(ec.host.n)
+            g = color_class(ec, args.color)
         else:
             g = parse_adjlist(_read(args.file))
         ged = decompose(g)

@@ -15,11 +15,14 @@ word extending it, and the canonical (lex-min) word of a class always
 truncates to a canonical word.  The engine therefore keeps one canonical
 representative per class of K_m colorings and, per level, colors the m
 edges to a new vertex in every allowed way, keeping exactly the extensions
-whose full word is again canonical.  Two prunes keep the tree small:
+whose full word is again canonical.  Three prunes keep the tree small:
 
 * freeness: by the Gallai-Edmonds lemma a free representative fixes, once,
   the colors each edge to the new vertex may take (``extension_colors``),
   and the rows are the product of those choices, so every candidate is free;
+* symmetry of the representative: a row that swapping two of its twins, or
+  two same-class colors it never uses, makes smaller is dropped without a
+  canonicity test (``canon.Prefix.has_smaller_swap``);
 * candidate extensions that are not lex-minimal in their orbit are discarded
   (and with them their entire subtree, since canonicity is prefix-inherited).
 
@@ -43,7 +46,7 @@ from functools import partial
 from itertools import product
 from typing import Callable
 
-from .canon import edge_list, is_canonical
+from .canon import Prefix, edge_list, is_canonical
 from .coloring import EdgeColoring, MatchParams, StructureWitness, find_structure, is_free
 from .graph import Graph, complete_graph, graph_from_edges, is_connected
 from .matching import has_k_matching_on_masks, missed_mask
@@ -141,13 +144,18 @@ def _extend_representative(
 
     With ``sizes`` given, each edge to the new vertex ranges over
     :func:`extension_colors`, so every candidate row is free; otherwise over
-    all ``c`` colors.  Rows come in lexicographic order.
+    all ``c`` colors.  Rows come in lexicographic order.  The prefix state of
+    ``word`` is built once: it drops the rows a symmetry of ``word`` makes
+    smaller and is extended by each remaining row in the canonicity test.
     """
     allowed = [range(c)] * m if sizes is None else extension_colors(word, m, sizes)
+    prefix = Prefix(word, m, classes)
     out = []
-    for row in product(*allowed):
-        cand = word + bytes(row)
-        if is_canonical(cand, m + 1, classes):
+    for row in map(bytes, product(*allowed)):
+        if prefix.has_smaller_swap(row):
+            continue
+        cand = word + row
+        if is_canonical(cand, m + 1, classes, prefix):
             out.append(cand)
     return out
 

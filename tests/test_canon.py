@@ -5,7 +5,14 @@ import random
 
 import pytest
 
-from matching_ramsey.canon import MAX_TABLE_ORDER, canonical_form, is_canonical, perm_edge_table
+from matching_ramsey.canon import (
+    MAX_TABLE_ORDER,
+    Prefix,
+    canonical_form,
+    edge_index,
+    is_canonical,
+    perm_edge_table,
+)
 
 # (order, number of colors, color classes): the full color group, the groups
 # of the target sizes, and the identity group used for graphs.
@@ -19,11 +26,62 @@ EXHAUSTIVE_POINTS = [
 ]
 
 
+def swap_makes_smaller(prefix: bytes, row: bytes, classes) -> bool:
+    """Brute force: does one transposition of two twins of the K_m ``prefix``,
+    or of two same-class colors it never uses, make ``row`` smaller?"""
+    m = len(row)
+    for u, w in itertools.combinations(range(m), 2):
+        others = [x for x in range(m) if x not in (u, w)]
+        if all(prefix[edge_index(u, x)] == prefix[edge_index(w, x)] for x in others):
+            swapped = bytearray(row)
+            swapped[u], swapped[w] = row[w], row[u]
+            if swapped < row:
+                return True
+    for a, b in itertools.combinations(range(len(classes)), 2):
+        if classes[a] == classes[b] and a not in prefix and b not in prefix:
+            table = bytearray(range(256))
+            table[a], table[b] = b, a
+            if row.translate(table) < row:
+                return True
+    return False
+
+
 @pytest.mark.parametrize("n,c,classes", EXHAUSTIVE_POINTS)
 def test_is_canonical_matches_orbit_minimum_on_every_word(n, c, classes):
+    # Also on every word: the canonicity test given an explicit prefix state,
+    # and the row filter, which skips exactly the rows that one twin or
+    # unused-color swap makes smaller, so only words that are not canonical.
+    cut = (n - 1) * (n - 2) // 2
+    prefix_word, prefix, skipped = None, None, 0
     for letters in itertools.product(range(c), repeat=n * (n - 1) // 2):
         word = bytes(letters)
-        assert is_canonical(word, n, classes) is (canonical_form(word, n, classes) == word)
+        canonical = canonical_form(word, n, classes) == word
+        assert is_canonical(word, n, classes) is canonical
+        if n < 2:
+            continue
+        if word[:cut] != prefix_word:
+            prefix_word = word[:cut]
+            prefix = Prefix(prefix_word, n - 1, classes)
+        assert is_canonical(word, n, classes, prefix) is canonical
+        skip = prefix.has_smaller_swap(word[cut:])
+        assert skip is swap_makes_smaller(prefix_word, word[cut:], classes)
+        if skip:
+            assert not canonical
+            skipped += 1
+    assert skipped > 0 or n < 3
+
+
+@pytest.mark.parametrize("classes", [(0, 0, 0, 0, 0), (0, 0, 1, 1, 1)])
+def test_row_filter_matches_the_swap_oracle_on_random_prefixes(classes):
+    # Prefixes over a few of five colors leave unused colors of one class and
+    # fewer twins than the exhaustive points, so the color swap acts alone.
+    rng = random.Random(sum(classes))
+    for m in (4, 5):
+        for _ in range(4):
+            prefix = bytes(rng.choice((0, 1, rng.randrange(5))) for _ in range(m * (m - 1) // 2))
+            state = Prefix(prefix, m, classes)
+            for row in map(bytes, itertools.product(range(5), repeat=m)):
+                assert state.has_smaller_swap(row) is swap_makes_smaller(prefix, row, classes)
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -36,6 +94,8 @@ def test_is_canonical_matches_orbit_minimum_on_random_words(n):
         word = bytes(rng.choice((0, rng.randrange(c))) for _ in range(n * (n - 1) // 2))
         minimum = canonical_form(word, n, classes)
         assert is_canonical(minimum, n, classes) is True
+        cut = (n - 1) * (n - 2) // 2
+        assert not Prefix(minimum[:cut], n - 1, classes).has_smaller_swap(minimum[cut:])
         assert is_canonical(word, n, classes) is (minimum == word)
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from matching_ramsey.cli import main
+from matching_ramsey.formats import MAX_GRAPH_ORDER
 
 
 def run(capsys, *argv):
@@ -181,6 +182,21 @@ def test_decompose_a_side_beyond_the_surplus_limit(capsys, tmp_path):
     path.write_text("63\n" + "\n".join(edges) + "\n")
     code, _, err = run(capsys, "decompose", str(path))
     assert code == 2 and "error: surplus check limited" in err
+
+
+def test_decompose_rejects_an_adjlist_above_the_order_limit(capsys, tmp_path):
+    # rejected from the header line, before a graph of that order is built
+    path = tmp_path / "big.adjlist"
+    path.write_text("10000000\n")
+    code, _, err = run(capsys, "decompose", str(path))
+    assert code == 2 and f"exceeds the limit {MAX_GRAPH_ORDER}" in err
+
+
+def test_decompose_rejects_a_color_class_above_the_order_limit(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": MAX_GRAPH_ORDER + 1, "c": 1, "edges": []}))
+    code, _, err = run(capsys, "decompose", str(path), "--color", "1")
+    assert code == 2 and f"exceeds the limit {MAX_GRAPH_ORDER}" in err
 
 
 def test_critical_json_output(capsys, tmp_path):

@@ -9,6 +9,7 @@ from matching_ramsey import (
     graph_from_edges,
 )
 from matching_ramsey.formats import (
+    MAX_GRAPH_ORDER,
     coloring_from_dict,
     coloring_to_dict,
     format_adjlist,
@@ -70,6 +71,12 @@ def test_adjlist_round_trip_and_errors():
         parse_adjlist("3\n0 7\n")
     with pytest.raises(ValueError):
         parse_adjlist("3\n0 1 2\n")
+
+
+def test_adjlist_order_limit():
+    assert parse_adjlist(f"{MAX_GRAPH_ORDER}\n").n == MAX_GRAPH_ORDER
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        parse_adjlist(f"{MAX_GRAPH_ORDER + 1}\n")
 
 
 def test_json_round_trip():

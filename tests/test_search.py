@@ -149,13 +149,18 @@ def test_free_class_counts_per_level(sizes, counts):
         (8, 5, (2, 2, 2, 2, 2), (2, 2, 2, 2, 2), "2c04e4f3ad9824763611329547c847b743ad9e1b8710a26714a4233713441e06"),
         (10, 2, (4, 3), (4, 3), "7f72851096a540b1c04e3872eb5db06f809823464ececf63e2cddfaff963f3ff"),
         (7, 2, None, (0, 1), "39728918fe5cbbeba51f8432cec1251272b09801b8860cbba13671ab7ce8673f"),
+        (5, 4, None, (0, 0, 0, 0), "d70a003083e99e290c4ae900629bf6079a8b7166bcdb94a09f9c8d20102cc52a"),
+        (5, 3, None, (0, 0, 1), "0ae306f9382066431122e87fd368804b7318a3bfc8f5f69779cfca14a2d98f9c"),
+        (6, 4, (2, 2, 2, 2), (2, 2, 2, 2), "f5f640364ad600dcc39821b7859f2f491fd8f85a55278e6fc48add078914923c"),
     ],
-    ids=["3-3-2", "2-2-2-2-2", "4-3", "graphs-7"],
+    ids=["3-3-2", "2-2-2-2-2", "4-3", "graphs-7", "colorings-5-4", "colorings-5-3-labels-0-0-1", "2-2-2-2"],
 )
 def test_representative_lists_are_pinned(n, c, sizes, classes, digest):
-    # sha256 of the representative lists at every order 0..n, measured with
-    # the earlier engine that pruned rows vertex by vertex with a matching
-    # test per (vertex, color); the last case is every graph of order <= 7
+    # sha256 of the representative lists at every order 0..n.  The first four
+    # were measured with the earlier engine that pruned rows vertex by vertex
+    # with a matching test per (vertex, color); the last case of those is
+    # every graph of order <= 7.  The other three were measured before the
+    # twin and unused-color row filter, whose color swaps they exercise.
     levels = _generate_levels(n, c, sizes=sizes, classes=classes)
     assert hashlib.sha256(repr(levels).encode()).hexdigest() == digest
 
