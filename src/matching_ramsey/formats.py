@@ -156,6 +156,7 @@ def coloring_from_dict(data: dict) -> EdgeColoring:
         triples = [(int(u), int(v), int(col)) for u, v, col in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad coloring record: {exc}") from exc
+    check_graph_order(n)
     host = graph_from_edges(n, [(u, v) for u, v, _ in triples])
     return coloring_from_map(host, c, {(u, v): col for u, v, col in triples})
 

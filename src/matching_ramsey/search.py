@@ -15,16 +15,33 @@ word extending it, and the canonical (lex-min) word of a class always
 truncates to a canonical word.  The engine therefore keeps one canonical
 representative per class of K_m colorings and, per level, colors the m
 edges to a new vertex in every allowed way, keeping exactly the extensions
-whose full word is again canonical.  Three prunes keep the tree small:
+whose full word is again canonical.  Four prunes keep the tree small:
 
 * freeness: by the Gallai-Edmonds lemma a free representative fixes, once,
-  the colors each edge to the new vertex may take (``extension_colors``),
+  the colors each edge to the new vertex may take (``extension_state``),
   and the rows are the product of those choices, so every candidate is free;
+* lookahead to a target order T: let s_i = n_i - 1 - nu_i be the slack of
+  class i in a free K_{m+1} word.  If the word extends to a free coloring
+  of K_T, any t of the T - m - 1 new vertices span a K_t, and a color-i
+  matching inside that K_t is vertex-disjoint from one inside the word, so
+  together they form a matching: class i of the K_t has nu <= s_i, hence
+  at most ex(t, s_i) edges, the Erdos-Gallai maximum (Acta Math. Acad. Sci.
+  Hungar. 10, 1959).  A row is dropped when C(t, 2) > sum_i ex(t, s_i) for
+  some 2 <= t <= T - m - 1.  Its slacks come free from the same lemma: the
+  row raises nu_i exactly when it uses color i at a vertex of D_i.  The
+  bound uses no Ramsey value, so nothing it prunes assumes what the search
+  proves;
 * symmetry of the representative: a row that swapping two of its twins, or
   two same-class colors it never uses, makes smaller is dropped without a
   canonicity test (``canon.Prefix.has_smaller_swap``);
 * candidate extensions that are not lex-minimal in their orbit are discarded
   (and with them their entire subtree, since canonicity is prefix-inherited).
+
+With a target, the levels below it keep only the classes that pass the
+lookahead, and the levels from the target on are complete.
+``verify_ramsey_exhaustive`` therefore targets r - 1, not r: the critical
+classes cannot reach order r, so a target of r could prune them away, and
+order r is the plain extension of the complete critical level.
 
 The symmetry group is given as color classes (see ``canon.is_canonical``):
 the target sizes for the verification entry points, one shared class for
@@ -44,12 +61,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .canon import Prefix, edge_list, is_canonical
 from .coloring import EdgeColoring, MatchParams, StructureWitness, find_structure, is_free
-from .graph import Graph, complete_graph, graph_from_edges, is_connected
-from .matching import has_k_matching_on_masks, missed_mask
+from .graph import Graph, bits, complete_graph, graph_from_edges, is_connected
+from .matching import _matching_on_masks, _mate_size, missed_mask
 
 DEFAULT_ORDER_GUARD = 8
 
@@ -110,27 +127,74 @@ class SearchReport:
 # ---------------------------------------------------------------------------
 
 
-def extension_colors(word: bytes, m: int, sizes: tuple[int, ...]) -> list[list[int]]:
-    """For each vertex u of a free K_m word, the colors (0-based, increasing)
-    the edge from u to a new vertex may take.
+class Extension(NamedTuple):
+    """What the rows to a new vertex over a free K_m word share."""
+
+    allowed: list[list[int]]  # per vertex u: the colors its edge to the new vertex may take
+    slack: list[int]  # per class i: n_i - 1 - nu_i
+    in_d: list[int]  # per vertex u: the mask of the classes whose D contains u
+
+
+def extension_state(word: bytes, m: int, sizes: tuple[int, ...]) -> Extension:
+    """The :class:`Extension` of a free K_m word, from one maximum matching
+    and one D per color class.
 
     Lemma (Gallai-Edmonds; proved in :mod:`matching_ramsey.star`): joining a
-    new vertex to a set S raises nu(G) exactly when S meets D(G).  The word
-    must be free, so every class i has nu <= n_i - 1; color i is then barred
-    at u exactly when class i is tight (nu = n_i - 1) and u lies in its D,
-    and by the lemma a whole row is free exactly when each of its edges is
-    allowed on its own.  A class with n_i = 1 is tight with D every vertex,
-    so its color is barred everywhere.
+    new vertex to a set S raises nu(G) exactly when S meets D(G).  So a row
+    raises nu_i by one exactly when it uses color i at a vertex of D_i.  The
+    word is free, so every slack is >= 0; color i is barred at u exactly
+    when class i is tight (slack 0) and u lies in its D, and a whole row is
+    free exactly when each of its edges is allowed on its own.  A class with
+    n_i = 1 is tight with D every vertex, so its color is barred everywhere.
     """
     rows = [[0] * m for _ in sizes]
     for col, (u, v) in zip(word, edge_list(m)):
         rows[col][u] |= 1 << v
         rows[col][v] |= 1 << u
-    barred = [
-        missed_mask(r, m, s - 1) if has_k_matching_on_masks(r, m, s - 1) else 0
-        for r, s in zip(rows, sizes)
-    ]
-    return [[i for i, d in enumerate(barred) if not d >> u & 1] for u in range(m)]
+    slack, in_d = [], [0] * m
+    for i, (r, s) in enumerate(zip(rows, sizes)):
+        nu = _mate_size(_matching_on_masks(r, m))
+        slack.append(s - 1 - nu)
+        for u in bits(missed_mask(r, m, nu)):
+            in_d[u] |= 1 << i
+    allowed = [[i for i, s in enumerate(slack) if s or not d >> i & 1] for d in in_d]
+    return Extension(allowed, slack, in_d)
+
+
+def _ex(t: int, k: int) -> int:
+    """Erdos-Gallai: the most edges a graph on t vertices with nu <= k has."""
+    if t <= 2 * k:
+        return t * (t - 1) // 2
+    return max(k * (2 * k + 1), k * (k - 1) // 2 + k * (t - k))
+
+
+def _can_reach(slack: list[int], more: int) -> bool:
+    """Can a free word with these slacks gain ``more`` vertices?  Any t of
+    them span a K_t whose class i has nu <= slack_i, so C(t, 2) edges must
+    fit under the sum of ex(t, slack_i)."""
+    return all(t * (t - 1) // 2 <= sum(_ex(t, s) for s in slack) for t in range(2, more + 1))
+
+
+def _lookahead(ext: Extension, c: int, more: int) -> Callable[[bytes], bool]:
+    """Row filter: can the word still gain ``more`` vertices after ``row``?
+
+    A row lowers slack_i by one exactly when it uses color i in D_i, so the
+    verdict depends only on that set of classes and is kept per set.
+    """
+    raises = [[d & 1 << col for col in range(c)] for d in ext.in_d]
+    verdicts: dict[int, bool] = {}
+
+    def keep(row: bytes) -> bool:
+        hit = 0
+        for r, col in zip(raises, row):
+            hit |= r[col]
+        ok = verdicts.get(hit)
+        if ok is None:
+            slack = [s - (hit >> i & 1) for i, s in enumerate(ext.slack)]
+            ok = verdicts[hit] = _can_reach(slack, more)
+        return ok
+
+    return keep
 
 
 def _extend_representative(
@@ -139,19 +203,28 @@ def _extend_representative(
     c: int,
     classes: tuple[int, ...],
     sizes: tuple[int, ...] | None,
+    target: int | None = None,
 ) -> list[bytes]:
     """Canonical words of K_{m+1} whose K_m prefix is ``word``.
 
-    With ``sizes`` given, each edge to the new vertex ranges over
-    :func:`extension_colors`, so every candidate row is free; otherwise over
-    all ``c`` colors.  Rows come in lexicographic order.  The prefix state of
-    ``word`` is built once: it drops the rows a symmetry of ``word`` makes
-    smaller and is extended by each remaining row in the canonicity test.
+    With ``sizes`` given, each edge to the new vertex ranges over the
+    allowed colors of :func:`extension_state`, so every candidate row is
+    free; otherwise over all ``c`` colors.  With ``target`` given too, rows
+    after which the word cannot reach order ``target`` are dropped first.
+    Rows come in lexicographic order.  The prefix state of ``word`` is built
+    once: it drops the rows a symmetry of ``word`` makes smaller and is
+    extended by each remaining row in the canonicity test.
     """
-    allowed = [range(c)] * m if sizes is None else extension_colors(word, m, sizes)
+    if sizes is None:
+        rows = map(bytes, product(range(c), repeat=m))
+    else:
+        ext = extension_state(word, m, sizes)
+        rows = map(bytes, product(*ext.allowed))
+        if target is not None and target - m - 1 >= 2:
+            rows = filter(_lookahead(ext, c, target - m - 1), rows)
     prefix = Prefix(word, m, classes)
     out = []
-    for row in map(bytes, product(*allowed)):
+    for row in rows:
         if prefix.has_smaller_swap(row):
             continue
         cand = word + row
@@ -166,6 +239,7 @@ def _generate_levels(
     *,
     sizes: tuple[int, ...] | None,
     classes: tuple[int, ...],
+    target: int | None = None,
     jobs: int = 1,
     progress: Progress | None = None,
 ) -> list[list[bytes]]:
@@ -174,7 +248,9 @@ def _generate_levels(
     ``levels[m]`` lists the canonical words of order m in increasing
     lexicographic order, under vertex permutations and the color
     permutations that keep each color inside its ``classes`` label.  With
-    ``sizes`` set, only free colorings survive.
+    ``sizes`` set, only free colorings survive; with ``target`` set as well,
+    only those that pass the lookahead bound for order ``target``, so the
+    lists are complete from order ``target`` on.
     """
     levels: list[list[bytes]] = [[b""], [b""]]  # K_0 and K_1: no edges
     if n <= 1:
@@ -182,7 +258,9 @@ def _generate_levels(
         return levels
     for m in range(1, n):
         reps = levels[m]
-        extend = partial(_extend_representative, m=m, c=c, classes=classes, sizes=sizes)
+        extend = partial(
+            _extend_representative, m=m, c=c, classes=classes, sizes=sizes, target=target
+        )
         if jobs > 1 and len(reps) > 2 * jobs:
             chunksize = max(1, len(reps) // (4 * jobs))
             with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -248,10 +326,10 @@ def free_coloring_classes(
     jobs: int = 1,
     progress: Progress | None = None,
 ) -> list[EdgeColoring]:
-    """All free colorings of K_order up to vertex/color symmetry."""
+    """All free colorings of K_order up to vertex/color symmetry (target ``order``)."""
     _check_guard(order, guard)
     levels = _generate_levels(
-        order, p.c, sizes=p.sizes, classes=p.sizes, jobs=jobs, progress=progress
+        order, p.c, sizes=p.sizes, classes=p.sizes, target=order, jobs=jobs, progress=progress
     )
     return [_coloring_from_word(w, order, p.c) for w in levels[order]]
 
@@ -305,13 +383,14 @@ def verify_ramsey_exhaustive(
     Upper bound: no free coloring of K_r survives generation (freeness is
     antitone in the order, so larger orders need no separate check).  Lower
     bound: the free classes of K_{r-1} are nonempty; they are re-checked and
-    given witnesses as in :func:`enumerate_critical`.
+    given witnesses as in :func:`enumerate_critical`.  The search targets
+    r - 1, so order r is the plain extension of every free class of K_{r-1}.
     """
     started = time.perf_counter()
     r = ramsey_value(p)
     _check_guard(r, guard)
     levels = _generate_levels(
-        r, p.c, sizes=p.sizes, classes=p.sizes, jobs=jobs, progress=progress
+        r, p.c, sizes=p.sizes, classes=p.sizes, target=r - 1, jobs=jobs, progress=progress
     )
     critical = [_coloring_from_word(w, r - 1, p.c) for w in levels[r - 1]]
     return _report(p, r, len(levels[r]), critical, started)

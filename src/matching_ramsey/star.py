@@ -25,7 +25,7 @@ D(G_i).  This is exact for any number of colors: the center is one vertex
 and the classes share no edges, so a spoke configuration is free exactly
 when each of its spokes is allowed on its own, and a base has a free
 k-spoke extension exactly when at least k of its vertices admit a spoke.
-The rule is ``search.extension_colors``, the same function that extends
+The rule is ``search.extension_state``, the same function that extends
 free representatives by one vertex in the orderly search: a spoke set is a
 partial row to a new vertex.
 
@@ -46,7 +46,7 @@ from .search import (
     Progress,
     _word_from_coloring,
     enumerate_critical,
-    extension_colors,
+    extension_state,
 )
 
 
@@ -171,7 +171,7 @@ def verify_star_exhaustive(
     crit = enumerate_critical(p, guard=guard, jobs=jobs, progress=progress)
     upper_ok = clique_ok = True
     for base, witness in zip(crit.critical_classes, crit.witnesses):
-        allowed = extension_colors(_word_from_coloring(base), nb, p.sizes)
+        allowed = extension_state(_word_from_coloring(base), nb, p.sizes).allowed
         admitting = sum(1 for colors in allowed if colors)
         upper_ok = upper_ok and admitting <= m
         if witness is None:

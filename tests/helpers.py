@@ -7,17 +7,23 @@ that is cross-checked separately against hand-counted orbit numbers.
 
 The brute-force star oracle builds every spoke configuration of a base as a
 host coloring and tests it with ``is_free``, independently of the
-Gallai-Edmonds extension rule ``matching_ramsey.search.extension_colors``.
+Gallai-Edmonds extension rule ``matching_ramsey.search.extension_state``.
 
 The brute-force structure oracle tries every vertex subset of the right
 size as V_1, independently of the forced-V_1 argument of
 ``matching_ramsey.find_structure``.
+
+Tests decorated with :func:`slow` are too slow for tier-1; they run only
+with ``MATCHING_RAMSEY_SLOW=1`` (select them alone with ``-m slow``).
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
+
+import pytest
 
 from matching_ramsey import (
     EdgeColoring,
@@ -31,6 +37,13 @@ from matching_ramsey import (
 )
 from matching_ramsey.canon import canonical_form
 from matching_ramsey.star import _attach_center
+
+
+def slow(test):
+    """Mark an opt-in test: skipped unless MATCHING_RAMSEY_SLOW=1."""
+    opted_in = os.environ.get("MATCHING_RAMSEY_SLOW") == "1"
+    skip = pytest.mark.skipif(not opted_in, reason="set MATCHING_RAMSEY_SLOW=1 to run")
+    return pytest.mark.slow(skip(test))
 
 
 def random_graph(rng: random.Random, n: int, p: float):

@@ -199,6 +199,22 @@ def test_decompose_rejects_a_color_class_above_the_order_limit(capsys, tmp_path)
     assert code == 2 and f"exceeds the limit {MAX_GRAPH_ORDER}" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("free-check", "--params", "2", "2"),
+        ("structure", "--params", "2", "2"),
+        ("decompose", "--color", "1"),
+    ],
+)
+def test_json_coloring_above_the_order_limit_is_rejected(capsys, tmp_path, argv):
+    # rejected from its "n" field, before a coloring of that order is built
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 1000000, "c": 2, "edges": []}))
+    code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2 and f"exceeds the limit {MAX_GRAPH_ORDER}" in err
+
+
 def test_critical_json_output(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, _, _ = run(capsys, "critical", "2", "2", "--format", "json", "--output", str(out_path))

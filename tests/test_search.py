@@ -16,9 +16,10 @@ from matching_ramsey import (
     verify_ramsey_exhaustive,
 )
 from matching_ramsey.canon import canonical_form
-from matching_ramsey.search import _generate_levels, _word_from_coloring
+from matching_ramsey.matching import matching_number
+from matching_ramsey.search import _ex, _generate_levels, _word_from_coloring
 
-from helpers import coloring_word, naive_orbit_reps
+from helpers import coloring_word, naive_orbit_reps, slow
 
 
 def test_ramsey_value_table():
@@ -134,12 +135,46 @@ def test_enumerate_graphs_counts():
     ],
 )
 def test_free_class_counts_per_level(sizes, counts):
-    # counts per order 0..r measured with the brute-force n! table engine;
-    # any change to a prune or to canonicity shows up here
-    seen = [1, 1]
+    # free classes at every order 0..r, measured with the brute-force n! table
+    # engine; any change to a prune or to canonicity shows up here.  Each
+    # order is its own search: the lookahead thins the levels below it.
     p = MatchParams(sizes)
-    report = verify_ramsey_exhaustive(p, guard=ramsey_value(p), progress=lambda m, k: seen.append(k))
-    assert report.verified and seen == counts
+    r = ramsey_value(p)
+    assert [len(free_coloring_classes(p, m, guard=r)) for m in range(r + 1)] == counts
+    report = verify_ramsey_exhaustive(p, guard=r)
+    assert report.verified and len(report.critical_classes) == counts[r - 1]
+
+
+def _check_ex(t):
+    # ex(t, k) is the most edges of a graph of order t with matching number <= k
+    graphs = [(matching_number(g), g.edge_count) for g in enumerate_graphs(t)]
+    for k in range(t // 2 + 2):
+        assert _ex(t, k) == max(e for nu, e in graphs if nu <= k), (t, k)
+
+
+def test_erdos_gallai_bound_is_the_exact_maximum():
+    for t in range(8):
+        _check_ex(t)
+
+
+@slow
+def test_erdos_gallai_bound_at_order_8():
+    _check_ex(8)
+
+
+@pytest.mark.parametrize(
+    "sizes", [(3, 3, 2), (2, 2, 2, 2, 2), (4, 3), (3, 2, 2), (2, 2, 2, 2), (3, 3), (4, 2)]
+)
+def test_lookahead_keeps_every_critical_class(sizes):
+    # the pruned search ends on the same words as the unpruned one, and
+    # verify still finds no free coloring of K_r
+    p = MatchParams(sizes)
+    r = ramsey_value(p)
+    unpruned = _generate_levels(r - 1, p.c, sizes=p.sizes, classes=p.sizes)[r - 1]
+    assert [_word_from_coloring(ec) for ec in free_coloring_classes(p, r - 1, guard=r)] == unpruned
+    report = verify_ramsey_exhaustive(p, guard=r)
+    assert report.verified
+    assert [_word_from_coloring(ec) for ec in report.critical_classes] == unpruned
 
 
 @pytest.mark.parametrize(
@@ -172,6 +207,16 @@ def test_verify_beyond_the_old_table_ceiling():
     assert report.verified and report.order_checked == 10
     assert len(report.critical_classes) == 4
     assert all(is_free(ec, p) for ec in report.critical_classes)
+
+
+@slow
+def test_critical_list_3_3_3_2_is_pinned():
+    # order 10, 43 classes; the unpruned engine gave the same list in 140 s
+    report = enumerate_critical(MatchParams((3, 3, 3, 2)), guard=10)
+    words = [_word_from_coloring(ec) for ec in report.critical_classes]
+    assert len(words) == 43 and report.structure_ok
+    digest = "bd244fe3b3a8837060fa2676497ac53a73d1b212165a7a4e901486f4edd39a23"
+    assert hashlib.sha256(repr(words).encode()).hexdigest() == digest
 
 
 def test_enumerate_critical_rejects_a_non_free_class(monkeypatch):

@@ -15,7 +15,7 @@ from matching_ramsey import (
     star_critical_value,
     verify_star_exhaustive,
 )
-from matching_ramsey.search import _word_from_coloring, extension_colors
+from matching_ramsey.search import _word_from_coloring, extension_state
 from matching_ramsey.star import _attach_center
 
 from helpers import brute_force_max_free_spokes, brute_force_star
@@ -24,7 +24,7 @@ from helpers import brute_force_max_free_spokes, brute_force_star
 def allowed_spoke_colors(base, p):
     """The 1-based colors a spoke to each base vertex may carry, from the
     extension rule shared with the orderly search."""
-    allowed = extension_colors(_word_from_coloring(base), base.host.n, p.sizes)
+    allowed = extension_state(_word_from_coloring(base), base.host.n, p.sizes).allowed
     return [{col + 1 for col in colors} for colors in allowed]
 
 
