@@ -60,7 +60,6 @@ from .search import (
     verify_ramsey_exhaustive,
 )
 from .star import (
-    StarHost,
     StarReport,
     construct_star_free,
     star_critical_value,
@@ -76,7 +75,6 @@ __all__ = [
     "Matching",
     "ProofLedger",
     "SearchReport",
-    "StarHost",
     "StarReport",
     "StructureWitness",
     "VerificationReport",

@@ -3,7 +3,8 @@
 Every verb prints its primary output on stdout (byte-identical across runs
 for identical invocations), streams progress to stderr, and exits 0 on a
 confirmed/true outcome, 1 on a refuted/false outcome, and 2 on usage or
-input errors.
+input errors.  The library reports bad input as ``ValueError``; ``main`` is
+the one place that turns it into an ``error:`` line and exit status 2.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .coloring import (
 )
 from .formats import (
     check_graph_order,
+    coloring_from_dict,
     coloring_to_dict,
     format_dot,
     format_ecg,
@@ -39,30 +41,21 @@ from .star import construct_star_free, star_critical_value, verify_star_exhausti
 USAGE_ERROR = 2
 
 
-class CliError(Exception):
-    """Input or argument problem; maps to exit status 2."""
-
-
 def _params(values: list[int]) -> MatchParams:
-    if not values:
-        raise CliError("at least one matching size is required")
     ordered = tuple(sorted(values, reverse=True))
     if tuple(values) != ordered:
         print(
             f"warning: sizes reordered non-increasingly: {list(ordered)}",
             file=sys.stderr,
         )
-    try:
-        return MatchParams(ordered)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return MatchParams(ordered)
 
 
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -72,7 +65,7 @@ def _emit(text: str, output: str | None) -> None:
         try:
             Path(output).write_text(text)
         except OSError as exc:
-            raise CliError(f"cannot write {output}: {exc}") from exc
+            raise ValueError(f"cannot write {output}: {exc}") from exc
 
 
 def _render_coloring(ec, fmt: str) -> str:
@@ -82,7 +75,7 @@ def _render_coloring(ec, fmt: str) -> str:
         return json.dumps(coloring_to_dict(ec), indent=2) + "\n"
     if fmt == "dot":
         return format_dot(ec)
-    raise CliError(f"unknown format {fmt!r}")
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 def _positive_int(text: str) -> int:
@@ -104,6 +97,7 @@ def cmd_value(args) -> int:
 
 def cmd_construct(args) -> int:
     p = _params(args.sizes)
+    check_graph_order(p.critical_order + 1 if args.star else p.critical_order)
     ec = construct_star_free(p) if args.star else construct_critical(p)
     _emit(_render_coloring(ec, args.format), args.output)
     return 0
@@ -112,10 +106,10 @@ def cmd_construct(args) -> int:
 def cmd_free_check(args) -> int:
     p = _params(args.sizes)
     ec = _parse_coloring(args.file)
-    if ec.c != p.c:
-        raise CliError(f"coloring has {ec.c} colors, parameters expect {p.c}")
-    profile = matching_profile(ec)
+    # is_free rejects a color count other than p.c before matching_profile
+    # walks all ec.c classes, which a header can make arbitrarily many
     free = is_free(ec, p)
+    profile = matching_profile(ec)
     print(("FREE" if free else "NOT-FREE") + " nu=" + str(list(profile)).replace(" ", ""))
     return 0 if free else 1
 
@@ -123,10 +117,7 @@ def cmd_free_check(args) -> int:
 def cmd_structure(args) -> int:
     p = _params(args.sizes)
     ec = _parse_coloring(args.file)
-    try:
-        witness = find_structure(ec, p)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    witness = find_structure(ec, p)
     if witness is None:
         print("NONE")
         return 1
@@ -137,17 +128,12 @@ def cmd_structure(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    try:
-        if args.color is not None:
-            ec = _parse_coloring(args.file)
-            check_graph_order(ec.host.n)
-            g = color_class(ec, args.color)
-        else:
-            g = parse_adjlist(_read(args.file))
-        ged = decompose(g)
-        report = verify_decomposition(g, ged)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if args.color is not None:
+        g = color_class(_parse_coloring(args.file), args.color)
+    else:
+        g = parse_adjlist(_read(args.file))
+    ged = decompose(g)
+    report = verify_decomposition(g, ged)
     def fmt_set(s):
         return "{" + ",".join(str(v) for v in sorted(s)) + "}"
     print("D=" + ";".join(fmt_set(comp) for comp in ged.d_components))
@@ -161,10 +147,7 @@ def cmd_decompose(args) -> int:
 def cmd_ledger(args) -> int:
     p = _params(args.sizes)
     ec = _parse_coloring(args.file)
-    try:
-        led = proof_ledger(ec, p)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    led = proof_ledger(ec, p)
     if args.format == "json":
         print(json.dumps(led.as_dict(), indent=2))
     else:
@@ -179,9 +162,7 @@ def cmd_ledger(args) -> int:
 
 def cmd_verify(args) -> int:
     p = _params(args.sizes)
-    report = _run_guarded(
-        verify_ramsey_exhaustive, p, guard=args.guard, jobs=args.jobs
-    )
+    report = verify_ramsey_exhaustive(p, guard=args.guard, jobs=args.jobs, progress=_progress)
     if report.verified:
         print(f"VERIFIED r={report.order_checked}")
         return 0
@@ -191,7 +172,7 @@ def cmd_verify(args) -> int:
 
 def cmd_critical(args) -> int:
     p = _params(args.sizes)
-    report = _run_guarded(enumerate_critical, p, guard=args.guard, jobs=args.jobs)
+    report = enumerate_critical(p, guard=args.guard, jobs=args.jobs, progress=_progress)
     print(
         f"order={report.order_checked} classes={len(report.critical_classes)} "
         f"structure_failures={len(report.structure_failures)}"
@@ -206,7 +187,7 @@ def cmd_critical(args) -> int:
 
 def cmd_star(args) -> int:
     p = _params(args.sizes)
-    report = _run_guarded(verify_star_exhaustive, p, guard=args.guard, jobs=args.jobs)
+    report = verify_star_exhaustive(p, guard=args.guard, jobs=args.jobs, progress=_progress)
     if report.verified:
         print(f"VERIFIED r*={report.star_value}")
         return 0
@@ -216,11 +197,8 @@ def cmd_star(args) -> int:
 
 def cmd_contract(args) -> int:
     ec = _parse_coloring(args.file)
-    try:
-        parts = parse_partition(_read(args.partition), ec.host.n)
-        contracted, rep_map = contract_partition(ec, parts)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    parts = parse_partition(_read(args.partition), ec.host.n)
+    contracted, rep_map = contract_partition(ec, parts)
     _emit(_render_coloring(contracted, args.format), args.output)
     for (i, j), (u, v) in sorted(rep_map.items()):
         print(f"edge {i}-{j} from {u}-{v}", file=sys.stderr)
@@ -229,21 +207,9 @@ def cmd_contract(args) -> int:
 
 def _parse_coloring(path: str):
     text = _read(path)
-    try:
-        if path.endswith(".json"):
-            from .formats import coloring_from_dict
-
-            return coloring_from_dict(json.loads(text))
-        return parse_ecg(text)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
-def _run_guarded(fn, p, *, guard, jobs):
-    try:
-        return fn(p, guard=guard, jobs=jobs, progress=_progress)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if path.endswith(".json"):
+        return coloring_from_dict(json.loads(text))
+    return parse_ecg(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,7 +296,8 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except CliError as exc:
+    except ValueError as exc:
+        # also json.JSONDecodeError and UnicodeDecodeError, both subclasses
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

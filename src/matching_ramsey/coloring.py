@@ -22,7 +22,7 @@ This module carries the constructive and structural side of the theory:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -316,14 +316,7 @@ class ColorLedger:
     edge_bound_rhs: int
 
     def as_dict(self) -> dict:
-        return {
-            "color": self.color,
-            "a": self.a,
-            "d_values": list(self.d_values),
-            "b": self.b,
-            "edge_bound_lhs": self.edge_bound_lhs,
-            "edge_bound_rhs": self.edge_bound_rhs,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -331,7 +324,7 @@ class ProofLedger:
     per_color: tuple[ColorLedger, ...]
 
     def as_dict(self) -> dict:
-        return {"per_color": [entry.as_dict() for entry in self.per_color]}
+        return asdict(self)
 
 
 def _edges_within(g: Graph, s: VertexSet) -> int:

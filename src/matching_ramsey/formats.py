@@ -6,8 +6,9 @@ edge ``u v`` with u < v.  The parser rejects a vertex count above
 
 ``ecg`` (edge-colored graphs): line 1 is ``n c``; then n - 1 lines, line u
 (0-based) holding the colors of the pairs (u, u+1), ..., (u, n-1), with 0
-marking a non-edge of the host.  The writer is byte-exact: ASCII decimals,
-single spaces, LF terminators on every line.
+marking a non-edge of the host.  The parser rejects an order above
+``MAX_GRAPH_ORDER`` from the header.  The writer is byte-exact: ASCII
+decimals, single spaces, LF terminators on every line.
 
 ``partition``: one part per line, vertices as space-separated decimals; the
 parts must partition 0..n-1.
@@ -21,9 +22,9 @@ from .canon import edge_index
 from .coloring import EdgeColoring, coloring_from_map
 from .graph import Graph, VertexSet, graph_from_edges
 
-# Largest graph order ``decompose`` accepts: a dense random graph of order
-# 400 takes about 15 s, one of order 200 about 2 s, and the cost grows
-# roughly as n^3.
+# Largest graph order the parsers and the CLI's ``construct`` accept.
+# ``decompose`` of a dense random graph of order 400 takes about 15 s, one of
+# order 200 about 2 s, and the cost grows roughly as n^3.
 MAX_GRAPH_ORDER = 400
 
 DOT_PALETTE = (
@@ -112,6 +113,7 @@ def parse_ecg(text: str) -> EdgeColoring:
         raise ValueError(f"bad header line: {lines[0]!r}") from exc
     if n < 0 or c < 1:
         raise ValueError(f"bad header values n={n}, c={c}")
+    check_graph_order(n)
     body = lines[1:]
     rows_needed = max(0, n - 1)
     if len(body) < rows_needed or any(line.strip() for line in body[rows_needed:]):

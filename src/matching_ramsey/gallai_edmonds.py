@@ -33,7 +33,7 @@ that fails (a) is matched again, on the subgraph (a) built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .graph import Graph, VertexSet, bits, connected_components, induced_subgraph, mask_of
 from .matching import has_matching_of_size, is_factor_critical, matching_number, missed_mask
@@ -77,15 +77,7 @@ class VerificationReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "components_factor_critical": self.components_factor_critical,
-            "c_has_perfect_matching": self.c_has_perfect_matching,
-            "positive_surplus": self.positive_surplus,
-            "maximum_matching_structure": self.maximum_matching_structure,
-            "size_formula_holds": self.size_formula_holds,
-            "matching_number": self.matching_number,
-            "formula_value": self.formula_value,
-        }
+        return asdict(self)
 
 
 def decompose(g: Graph) -> GEDecomposition:

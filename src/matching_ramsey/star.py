@@ -36,11 +36,17 @@ carries that clique's color.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .canon import edge_index
-from .coloring import EdgeColoring, MatchParams, construct_critical, critical_parts, is_free
-from .graph import Graph, VertexSet, complete_graph
+from .coloring import (
+    EdgeColoring,
+    MatchParams,
+    coloring_from_map,
+    construct_critical,
+    critical_parts,
+    is_free,
+)
+from .graph import graph_from_edges
 from .search import (
     DEFAULT_ORDER_GUARD,
     Progress,
@@ -48,30 +54,6 @@ from .search import (
     enumerate_critical,
     extension_state,
 )
-
-
-@dataclass(frozen=True)
-class StarHost:
-    """K_{base_order} plus a center vertex joined to ``spokes``."""
-
-    base_order: int
-    spokes: VertexSet
-
-    def __post_init__(self) -> None:
-        if not all(0 <= v < self.base_order for v in self.spokes):
-            raise ValueError("spokes must attach to base vertices")
-
-    @property
-    def center(self) -> int:
-        return self.base_order
-
-    def to_graph(self) -> Graph:
-        base = complete_graph(self.base_order)
-        rows = list(base.rows) + [0]
-        for v in self.spokes:
-            rows[v] |= 1 << self.center
-            rows[self.center] |= 1 << v
-        return Graph(self.base_order + 1, tuple(rows))
 
 
 def star_critical_value(p: MatchParams) -> int:
@@ -84,13 +66,9 @@ def _attach_center(
 ) -> EdgeColoring:
     """Extend a coloring of K_{n-1} by a center with colored spokes."""
     nb = base.host.n
-    host = StarHost(nb, frozenset(spokes)).to_graph()
-    table = [0] * (host.n * (host.n - 1) // 2)
-    for u, v, col in base.edges_with_colors():
-        table[edge_index(u, v)] = col
-    for v, col in zip(spokes, spoke_colors):
-        table[edge_index(v, nb)] = col
-    return EdgeColoring(host, base.c, tuple(table))
+    colors = {(u, v): col for u, v, col in base.edges_with_colors()}
+    colors.update(((v, nb), col) for v, col in zip(spokes, spoke_colors))
+    return coloring_from_map(graph_from_edges(nb + 1, colors), base.c, colors)
 
 
 def construct_star_free(p: MatchParams) -> EdgeColoring:
@@ -133,16 +111,7 @@ class StarReport:
         return self.lower_ok and self.upper_ok
 
     def as_dict(self) -> dict:
-        return {
-            "params": list(self.params.sizes),
-            "star_value": self.star_value,
-            "lower_ok": self.lower_ok,
-            "upper_ok": self.upper_ok,
-            "clique_spoke_color_ok": self.clique_spoke_color_ok,
-            "base_class_count": self.base_class_count,
-            "placements_checked": self.placements_checked,
-            "colorings_checked": self.colorings_checked,
-        }
+        return {**asdict(self), "params": list(self.params.sizes)}
 
 
 def verify_star_exhaustive(
@@ -160,15 +129,15 @@ def verify_star_exhaustive(
     corollary fails on a base exactly when some vertex of V_1 admits a spoke
     of the clique color and at least m vertices admit a spoke, so that spoke
     completes a free m-spoke host.  ``jobs`` and ``progress`` go to the
-    class search.
+    class search, which applies the order guard before anything is built.
     """
     nb = p.critical_order
     m = star_critical_value(p) - 1
 
+    crit = enumerate_critical(p, guard=guard, jobs=jobs, progress=progress)
     star = construct_star_free(p)
     lower_ok = is_free(star, p) and star.host.n == nb + 1 and star.host.degree(nb) == m
 
-    crit = enumerate_critical(p, guard=guard, jobs=jobs, progress=progress)
     upper_ok = clique_ok = True
     for base, witness in zip(crit.critical_classes, crit.witnesses):
         allowed = extension_state(_word_from_coloring(base), nb, p.sizes).allowed

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from matching_ramsey import cli
 from matching_ramsey.cli import main
 from matching_ramsey.formats import MAX_GRAPH_ORDER
 
@@ -208,11 +213,52 @@ def test_decompose_rejects_a_color_class_above_the_order_limit(capsys, tmp_path)
     ],
 )
 def test_json_coloring_above_the_order_limit_is_rejected(capsys, tmp_path, argv):
-    # rejected from its "n" field, before a coloring of that order is built
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"n": 1000000, "c": 2, "edges": []}))
-    code, _, err = run(capsys, argv[0], str(path), *argv[1:])
-    assert code == 2 and f"exceeds the limit {MAX_GRAPH_ORDER}" in err
+    # rejected from its "n" field or ecg header, before a coloring of that
+    # order is built
+    huge_json = tmp_path / "huge.json"
+    huge_json.write_text(json.dumps({"n": 1000000, "c": 2, "edges": []}))
+    huge_ecg = tmp_path / "huge.ecg"
+    huge_ecg.write_text("1000000 2\n")
+    for path in (huge_json, huge_ecg):
+        code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2 and f"exceeds the limit {MAX_GRAPH_ORDER}" in err, path
+
+
+def test_free_check_rejects_a_color_count_mismatch_first(capsys, tmp_path, monkeypatch):
+    # an ecg header may claim any number of colors; none of them is walked
+    def unreachable(ec):
+        raise AssertionError("matching profile computed before the color count check")
+
+    path = tmp_path / "c.ecg"
+    run(capsys, "construct", "2", "2", "--output", str(path))
+    monkeypatch.setattr(cli, "matching_profile", unreachable)
+    code, out, err = run(capsys, "free-check", str(path), "--params", "2", "2", "2")
+    assert code == 2 and out == ""
+    assert "error: coloring has 2 colors, parameters expect 3" in err
+
+
+def test_construct_respects_the_order_limit(capsys, tmp_path):
+    code, out, err = run(capsys, "construct", "201")
+    assert code == 2 and out == "" and f"exceeds the limit {MAX_GRAPH_ORDER}" in err
+    # the star host has order critical_order + 1 = 400
+    path = tmp_path / "star.ecg"
+    code, _, _ = run(capsys, "construct", "200", "--star", "--output", str(path))
+    assert code == 0 and path.read_text().startswith(f"{MAX_GRAPH_ORDER} 1\n")
+
+
+def test_non_utf8_input_exits_2(tmp_path):
+    # a subprocess, so that the module's entrypoint() and its exit status run too
+    path = tmp_path / "bad.ecg"
+    path.write_bytes(b"\xff\xfe")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "matching_ramsey.cli", "free-check", str(path), "--params", "2", "2"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_critical_json_output(capsys, tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from matching_ramsey import (
     EdgeColoring,
     MatchParams,
-    StarHost,
     complete_graph,
     construct_star_free,
     enumerate_critical,
@@ -15,6 +14,7 @@ from matching_ramsey import (
     star_critical_value,
     verify_star_exhaustive,
 )
+from matching_ramsey import star
 from matching_ramsey.search import _word_from_coloring, extension_state
 from matching_ramsey.star import _attach_center
 
@@ -39,13 +39,24 @@ def test_star_critical_values():
             assert star_critical_value(MatchParams((s, t))) == t
 
 
-def test_star_host():
-    host = StarHost(4, frozenset({0, 2})).to_graph()
+def test_attach_center():
+    base = EdgeColoring(complete_graph(4), 1, (1,) * 6)
+    host = _attach_center(base, (0, 2), (1, 1)).host
     assert host.n == 5
     assert host.degree(4) == 2
     assert host.has_edge(0, 4) and host.has_edge(2, 4) and not host.has_edge(1, 4)
+    small = EdgeColoring(complete_graph(3), 1, (1,) * 3)
     with pytest.raises(ValueError):
-        StarHost(3, frozenset({3}))
+        _attach_center(small, (3,), (1,))
+
+
+def test_star_guard_applies_before_the_construction(monkeypatch):
+    def unreachable(p):
+        raise AssertionError("construction built before the order guard")
+
+    monkeypatch.setattr(star, "construct_star_free", unreachable)
+    with pytest.raises(ValueError, match="enumeration guard"):
+        verify_star_exhaustive(MatchParams((5, 5)))
 
 
 def test_construct_star_free():
