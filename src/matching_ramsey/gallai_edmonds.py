@@ -11,7 +11,11 @@ instrumenting the blossom search: one maximum matching gives nu, then
 ``matching.missed_mask`` asks, for each vertex v, whether G - v still has a
 matching of size nu (an early-exit test).  That is n+1 matching runs on
 adjacency masks, irrelevant at the graph sizes this library targets, and it
-keeps the computation independently checkable.
+keeps the computation independently checkable.  The search reads D faster
+off one alternating forest (``matching.forest_d``).  This module stays on
+the definition: it is what the decomposition promises, and it is the
+reference the forest is tested against, on every graph of order <= 7 and
+on random graphs up to order 14.
 
 The Gallai-Edmonds theorem asserts, for this partition:
 (a) each component of G[D] is factor-critical;

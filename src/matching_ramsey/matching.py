@@ -48,16 +48,22 @@ def is_valid_matching(g: Graph, m: Matching) -> bool:
     return True
 
 
-def _augment(rows: Sequence[int], n: int, match: list[int], root: int) -> bool:
-    """Grow an alternating tree from ``root``; contract blossoms on the fly.
+def _augment(rows: Sequence[int], n: int, match: list[int], roots: list[int]) -> list[bool] | None:
+    """Grow alternating trees from the exposed ``roots``; contract blossoms
+    on the fly.
 
-    Returns True when an augmenting path was found and applied to ``match``.
+    When an augmenting path turns up it is applied to ``match`` and the
+    result is None.  Otherwise the result marks the outer vertices: those an
+    even alternating path from a root reaches.  With several roots the
+    matching must be maximum, so no edge joins two outer vertices of
+    different trees.
     """
     parent = [-1] * n
     base = list(range(n))
     used = [False] * n
-    used[root] = True
-    queue = [root]
+    for root in roots:
+        used[root] = True
+    queue = list(roots)
     head = 0
 
     def lca(a: int, b: int) -> int:
@@ -72,6 +78,8 @@ def _augment(rows: Sequence[int], n: int, match: list[int], root: int) -> bool:
             b = base[b]
             if hit[b]:
                 return b
+            if match[b] == -1:
+                raise RuntimeError("two alternating trees meet: the matching is not maximum")
             b = parent[match[b]]
 
     def mark_path(v: int, stem: int, child: int, in_blossom: list[bool]) -> None:
@@ -92,7 +100,7 @@ def _augment(rows: Sequence[int], n: int, match: list[int], root: int) -> bool:
             m ^= low
             if base[v] == base[to] or match[v] == to:
                 continue
-            if to == root or (match[to] != -1 and parent[match[to]] != -1):
+            if used[to]:
                 # odd cycle: contract the blossom down to its stem
                 stem = lca(v, to)
                 in_blossom = [False] * n
@@ -114,10 +122,10 @@ def _augment(rows: Sequence[int], n: int, match: list[int], root: int) -> bool:
                         match[to] = pv
                         match[pv] = to
                         to = follow
-                    return True
+                    return None
                 used[match[to]] = True
                 queue.append(match[to])
-    return False
+    return used
 
 
 def _matching_on_masks(rows: Sequence[int], n: int, need: int | None = None) -> list[int]:
@@ -145,7 +153,7 @@ def _matching_on_masks(rows: Sequence[int], n: int, need: int | None = None) -> 
         return match
     for root in range(n):
         if match[root] == -1 and rows[root]:
-            if _augment(rows, n, match, root):
+            if _augment(rows, n, match, [root]) is None:
                 size += 1
                 if need is not None and size >= need:
                     return match
@@ -234,6 +242,18 @@ def missed_mask(rows: Sequence[int], n: int, k: int) -> int:
         if has_k_matching_on_masks(sub, n, k):
             out |= 1 << v
     return out
+
+
+def forest_d(rows: Sequence[int], n: int, match: list[int]) -> int:
+    """The set D of :func:`missed_mask`, read off one alternating forest.
+
+    ``match`` must be a maximum matching.  A vertex is missed by some
+    maximum matching exactly when an even alternating path from an exposed
+    vertex reaches it (Edmonds), so D is the outer set of the forest grown
+    from every exposed vertex at once.
+    """
+    used = _augment(rows, n, match, [v for v in range(n) if match[v] == -1])
+    return sum(1 << v for v in range(n) if used[v])
 
 
 def is_factor_critical(g: Graph) -> bool:

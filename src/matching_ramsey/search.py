@@ -15,7 +15,7 @@ word extending it, and the canonical (lex-min) word of a class always
 truncates to a canonical word.  The engine therefore keeps one canonical
 representative per class of K_m colorings and, per level, colors the m
 edges to a new vertex in every allowed way, keeping exactly the extensions
-whose full word is again canonical.  Four prunes keep the tree small:
+whose full word is again canonical.  Five prunes keep the tree small:
 
 * freeness: by the Gallai-Edmonds lemma a free representative fixes, once,
   the colors each edge to the new vertex may take (``extension_state``),
@@ -34,6 +34,15 @@ whose full word is again canonical.  Four prunes keep the tree small:
 * symmetry of the representative: a row that swapping two of its twins, or
   two same-class colors it never uses, makes smaller is dropped without a
   canonicity test (``canon.Prefix.has_smaller_swap``);
+* no dead vertex, below the target: by the same lemma one order up, the
+  K_{m+1} word has no free one-vertex extension exactly when every class
+  is tight and some vertex lies in every class's D, for then no color may
+  join that vertex to a new one.  Such a row is dropped before the
+  canonicity test.  Each class's new D is read off one alternating forest
+  of its kept maximum matching, augmented from the new vertex when the row
+  raises nu_i.  The rule uses no Ramsey value either; since a row that
+  leaves every class tight already fails the lookahead at t = 2, it drops
+  words only one order below the target;
 * candidate extensions that are not lex-minimal in their orbit are discarded
   (and with them their entire subtree, since canonicity is prefix-inherited).
 
@@ -49,15 +58,15 @@ plain color enumeration, and one class per color for graph enumeration.
 Canonicity is decided by a backtracking search, so no order limit comes
 from the canonicity test; the order guard bounds the running time.
 
-Work distribution splits a level's representatives across worker processes;
-representative order is preserved when merging, so reports are byte-for-byte
-deterministic regardless of the worker count.
+Work distribution splits a level's representatives across worker processes,
+at most one per CPU; representative order is preserved when merging, so
+reports are byte-for-byte deterministic regardless of the worker count.
 """
 
 from __future__ import annotations
 
+import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
@@ -66,7 +75,7 @@ from typing import Callable, NamedTuple
 from .canon import Prefix, edge_list, is_canonical
 from .coloring import EdgeColoring, MatchParams, StructureWitness, find_structure, is_free
 from .graph import Graph, bits, complete_graph, graph_from_edges, is_connected
-from .matching import _matching_on_masks, _mate_size, missed_mask
+from .matching import _augment, _matching_on_masks, _mate_size, forest_d
 
 DEFAULT_ORDER_GUARD = 8
 
@@ -133,11 +142,13 @@ class Extension(NamedTuple):
     allowed: list[list[int]]  # per vertex u: the colors its edge to the new vertex may take
     slack: list[int]  # per class i: n_i - 1 - nu_i
     in_d: list[int]  # per vertex u: the mask of the classes whose D contains u
+    masks: list[list[int]]  # per class: its adjacency masks on the word
+    mates: list[list[int]]  # per class: a maximum matching as a mate array
 
 
 def extension_state(word: bytes, m: int, sizes: tuple[int, ...]) -> Extension:
     """The :class:`Extension` of a free K_m word, from one maximum matching
-    and one D per color class.
+    per color class and the D read off its alternating forest.
 
     Lemma (Gallai-Edmonds; proved in :mod:`matching_ramsey.star`): joining a
     new vertex to a set S raises nu(G) exactly when S meets D(G).  So a row
@@ -151,14 +162,23 @@ def extension_state(word: bytes, m: int, sizes: tuple[int, ...]) -> Extension:
     for col, (u, v) in zip(word, edge_list(m)):
         rows[col][u] |= 1 << v
         rows[col][v] |= 1 << u
-    slack, in_d = [], [0] * m
+    slack, in_d, mates = [], [0] * m, []
     for i, (r, s) in enumerate(zip(rows, sizes)):
-        nu = _mate_size(_matching_on_masks(r, m))
-        slack.append(s - 1 - nu)
-        for u in bits(missed_mask(r, m, nu)):
+        match = _matching_on_masks(r, m)
+        slack.append(s - 1 - _mate_size(match))
+        for u in bits(forest_d(r, m, match)):
             in_d[u] |= 1 << i
+        mates.append(match)
     allowed = [[i for i, s in enumerate(slack) if s or not d >> i & 1] for d in in_d]
-    return Extension(allowed, slack, in_d)
+    return Extension(allowed, slack, in_d, rows, mates)
+
+
+def _raised(in_d: list[int], row: bytes) -> int:
+    """The mask of the classes whose nu ``row`` raises: color i at a vertex of D_i."""
+    hit = 0
+    for d, col in zip(in_d, row):
+        hit |= d & 1 << col
+    return hit
 
 
 def _ex(t: int, k: int) -> int:
@@ -175,24 +195,59 @@ def _can_reach(slack: list[int], more: int) -> bool:
     return all(t * (t - 1) // 2 <= sum(_ex(t, s) for s in slack) for t in range(2, more + 1))
 
 
-def _lookahead(ext: Extension, c: int, more: int) -> Callable[[bytes], bool]:
+def _lookahead(ext: Extension, more: int) -> Callable[[bytes], bool]:
     """Row filter: can the word still gain ``more`` vertices after ``row``?
 
     A row lowers slack_i by one exactly when it uses color i in D_i, so the
     verdict depends only on that set of classes and is kept per set.
     """
-    raises = [[d & 1 << col for col in range(c)] for d in ext.in_d]
     verdicts: dict[int, bool] = {}
 
     def keep(row: bytes) -> bool:
-        hit = 0
-        for r, col in zip(raises, row):
-            hit |= r[col]
+        hit = _raised(ext.in_d, row)
         ok = verdicts.get(hit)
         if ok is None:
             slack = [s - (hit >> i & 1) for i, s in enumerate(ext.slack)]
             ok = verdicts[hit] = _can_reach(slack, more)
         return ok
+
+    return keep
+
+
+def _extendable(ext: Extension, m: int) -> Callable[[bytes], bool] | None:
+    """Row filter: does the word keep a free one-vertex extension after ``row``?
+
+    It has none exactly when some vertex admits no color, that is, when
+    every class is tight and some vertex lies in every class's D (the rule
+    of :func:`extension_state`, one order up).  A row leaves every class
+    tight exactly when it raises nu_i for each class with slack 1 and no
+    slack is larger; None means that no row can.  For such a row, the new
+    vertex x is exposed in each kept matching, and where the row raises
+    nu_i one augmentation from x makes the matching maximum again; the new
+    D is read off its forest.
+    """
+    if any(s > 1 for s in ext.slack):
+        return None
+    ones = sum(1 << i for i, s in enumerate(ext.slack) if s)
+    everyone = (1 << (m + 1)) - 1
+
+    def keep(row: bytes) -> bool:
+        hit = _raised(ext.in_d, row)
+        if hit != ones:
+            return True
+        grown = [r + [0] for r in ext.masks]
+        for u, col in enumerate(row):
+            grown[col][u] |= 1 << m
+            grown[col][m] |= 1 << u
+        dead = everyone
+        for i, (g, mate) in enumerate(zip(grown, ext.mates)):
+            match = mate + [-1]
+            if hit >> i & 1:
+                _augment(g, m + 1, match, [m])
+            dead &= forest_d(g, m + 1, match)
+            if not dead:
+                return True
+        return False
 
     return keep
 
@@ -210,22 +265,27 @@ def _extend_representative(
     With ``sizes`` given, each edge to the new vertex ranges over the
     allowed colors of :func:`extension_state`, so every candidate row is
     free; otherwise over all ``c`` colors.  With ``target`` given too, rows
-    after which the word cannot reach order ``target`` are dropped first.
-    Rows come in lexicographic order.  The prefix state of ``word`` is built
-    once: it drops the rows a symmetry of ``word`` makes smaller and is
-    extended by each remaining row in the canonicity test.
+    after which the word cannot reach order ``target`` are dropped first,
+    and below the target so are rows after which it has no free one-vertex
+    extension.  Rows come in lexicographic order.  The prefix state of
+    ``word`` is built once: it drops the rows a symmetry of ``word`` makes
+    smaller and is extended by each remaining row in the canonicity test.
     """
+    extendable = None
     if sizes is None:
         rows = map(bytes, product(range(c), repeat=m))
     else:
         ext = extension_state(word, m, sizes)
         rows = map(bytes, product(*ext.allowed))
-        if target is not None and target - m - 1 >= 2:
-            rows = filter(_lookahead(ext, c, target - m - 1), rows)
+        more = 0 if target is None else target - m - 1
+        if more >= 2:
+            rows = filter(_lookahead(ext, more), rows)
+        if more >= 1:
+            extendable = _extendable(ext, m)
     prefix = Prefix(word, m, classes)
     out = []
     for row in rows:
-        if prefix.has_smaller_swap(row):
+        if prefix.has_smaller_swap(row) or (extendable is not None and not extendable(row)):
             continue
         cand = word + row
         if is_canonical(cand, m + 1, classes, prefix):
@@ -253,6 +313,7 @@ def _generate_levels(
     lists are complete from order ``target`` on.
     """
     levels: list[list[bytes]] = [[b""], [b""]]  # K_0 and K_1: no edges
+    workers = min(jobs, os.cpu_count() or 1)
     if n <= 1:
         del levels[n + 1:]
         return levels
@@ -261,9 +322,11 @@ def _generate_levels(
         extend = partial(
             _extend_representative, m=m, c=c, classes=classes, sizes=sizes, target=target
         )
-        if jobs > 1 and len(reps) > 2 * jobs:
-            chunksize = max(1, len(reps) // (4 * jobs))
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+        if workers > 1 and len(reps) > 2 * workers:
+            from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
+            chunksize = max(1, len(reps) // (4 * workers))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(extend, reps, chunksize=chunksize))
         else:
             results = list(map(extend, reps))

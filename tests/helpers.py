@@ -13,8 +13,9 @@ The brute-force structure oracle tries every vertex subset of the right
 size as V_1, independently of the forced-V_1 argument of
 ``matching_ramsey.find_structure``.
 
-Tests decorated with :func:`slow` are too slow for tier-1; they run only
-with ``MATCHING_RAMSEY_SLOW=1`` (select them alone with ``-m slow``).
+Tests decorated with :func:`slow`, and cases given by :func:`slow_param`,
+are too slow for tier-1; they run only with ``MATCHING_RAMSEY_SLOW=1``
+(select them alone with ``-m slow``).
 """
 
 from __future__ import annotations
@@ -39,11 +40,21 @@ from matching_ramsey.canon import canonical_form
 from matching_ramsey.star import _attach_center
 
 
+def _slow_marks():
+    opted_in = os.environ.get("MATCHING_RAMSEY_SLOW") == "1"
+    return [pytest.mark.slow, pytest.mark.skipif(not opted_in, reason="set MATCHING_RAMSEY_SLOW=1 to run")]
+
+
 def slow(test):
     """Mark an opt-in test: skipped unless MATCHING_RAMSEY_SLOW=1."""
-    opted_in = os.environ.get("MATCHING_RAMSEY_SLOW") == "1"
-    skip = pytest.mark.skipif(not opted_in, reason="set MATCHING_RAMSEY_SLOW=1 to run")
-    return pytest.mark.slow(skip(test))
+    for mark in _slow_marks():
+        test = mark(test)
+    return test
+
+
+def slow_param(*values):
+    """An opt-in case of a parametrized test, as :func:`slow`."""
+    return pytest.param(*values, marks=_slow_marks())
 
 
 def random_graph(rng: random.Random, n: int, p: float):

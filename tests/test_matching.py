@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from matching_ramsey import (
     brute_force_matching_number,
     complete_graph,
+    enumerate_graphs,
     graph_from_edges,
     has_matching_of_size,
     is_connected,
@@ -14,6 +16,7 @@ from matching_ramsey import (
     matching_number,
     maximum_matching,
 )
+from matching_ramsey.matching import _matching_on_masks, _mate_size, forest_d, missed_mask
 
 from helpers import random_graph
 
@@ -109,3 +112,35 @@ def test_factor_critical_implies_connected_and_odd():
             assert g.n % 2 == 1
             assert is_connected(g)
     assert seen > 0
+
+
+def _corpus():
+    # every graph of order <= 7, then seeded random graphs of order <= 14
+    graphs = [g for n in range(8) for g in enumerate_graphs(n)]
+    rng = random.Random(13)
+    graphs += [random_graph(rng, rng.randint(0, 14), rng.random()) for _ in range(3000)]
+    return graphs
+
+
+def test_forest_d_is_the_missed_set():
+    # one alternating forest gives the D that the definition gives with a
+    # matching run per vertex
+    for g in _corpus():
+        match = _matching_on_masks(g.rows, g.n)
+        assert forest_d(g.rows, g.n, match) == missed_mask(g.rows, g.n, _mate_size(match)), g
+
+
+def test_maximum_matching_edges_are_pinned():
+    # sha256 of the edge lists over the corpus, measured before the blossom
+    # routine took a list of roots: augmentation picks the same edges
+    edges = [maximum_matching(g).edges for g in _corpus()]
+    digest = "b0a3cdf5c9ca6149be681c482b67b792f961f9ae4318aa84a4af9b4d74a1b8c8"
+    assert hashlib.sha256(repr(edges).encode()).hexdigest() == digest
+
+
+def test_forest_d_rejects_a_matching_that_is_not_maximum():
+    # the path 0-1-2-3 matched on its middle edge: the trees grown from 0
+    # and 3 meet, so the matching has an augmenting path
+    p4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(RuntimeError, match="not maximum"):
+        forest_d(p4.rows, 4, [-1, 2, 1, -1])

@@ -1,5 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -17,9 +22,16 @@ from matching_ramsey import (
 )
 from matching_ramsey.canon import canonical_form
 from matching_ramsey.matching import matching_number
-from matching_ramsey.search import _ex, _generate_levels, _word_from_coloring
+from matching_ramsey.search import (
+    _coloring_from_word,
+    _ex,
+    _extendable,
+    _generate_levels,
+    _word_from_coloring,
+    extension_state,
+)
 
-from helpers import coloring_word, naive_orbit_reps, slow
+from helpers import coloring_word, naive_orbit_reps, slow, slow_param
 
 
 def test_ramsey_value_table():
@@ -163,7 +175,11 @@ def test_erdos_gallai_bound_at_order_8():
 
 
 @pytest.mark.parametrize(
-    "sizes", [(3, 3, 2), (2, 2, 2, 2, 2), (4, 3), (3, 2, 2), (2, 2, 2, 2), (3, 3), (4, 2)]
+    "sizes",
+    [
+        (3, 3, 2), (2, 2, 2, 2, 2), (4, 3), (3, 2, 2), (2, 2, 2, 2), (3, 3), (4, 2),
+        (2, 2, 2, 2, 2, 2), slow_param((4, 3, 2)),
+    ],
 )
 def test_lookahead_keeps_every_critical_class(sizes):
     # the pruned search ends on the same words as the unpruned one, and
@@ -175,6 +191,73 @@ def test_lookahead_keeps_every_critical_class(sizes):
     report = verify_ramsey_exhaustive(p, guard=r)
     assert report.verified
     assert [_word_from_coloring(ec) for ec in report.critical_classes] == unpruned
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 2, 2), (3, 2, 2), (4, 3)])
+def test_dead_vertex_rule_is_exact(sizes):
+    # on every unpruned word of order r - 2, the filter drops the word's
+    # last row exactly when no row to one more vertex is free
+    p = MatchParams(sizes)
+    n = ramsey_value(p) - 2
+    dropped = 0
+    for word in _generate_levels(n, p.c, sizes=p.sizes, classes=p.sizes)[n]:
+        prefix, row = word[: -(n - 1)], word[-(n - 1):]
+        extendable = _extendable(extension_state(prefix, n - 1, p.sizes), n - 1)
+        dead = extendable is not None and not extendable(row)
+        free_child = any(
+            is_free(_coloring_from_word(word + bytes(nxt), n + 1, p.c), p)
+            for nxt in product(range(p.c), repeat=n)
+        )
+        assert dead != free_child, word
+        dropped += dead
+    assert dropped > 0
+
+
+@pytest.mark.parametrize(
+    "sizes,count,guard",
+    [((2,) * 6, 12, 8), ((2,) * 7, 56, 9), ((4, 4, 2), 4, 11)],
+    ids=["2^6", "2^7", "4-4-2"],
+)
+def test_critical_class_counts_beyond_the_pinned_points(sizes, count, guard):
+    # with all n_i = 2 the critical classes are the tournaments on c - 1
+    # vertices (OEIS A000568: 12 on 5, 56 on 6)
+    report = enumerate_critical(MatchParams(sizes), guard=guard)
+    assert len(report.critical_classes) == count and report.structure_ok
+
+
+def test_import_loads_no_process_pool():
+    # only a run with jobs > 1 needs multiprocessing
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, matching_ramsey; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
+def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
+    # a fake pool that records its size and maps serially: no process starts
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr("matching_ramsey.search.os.cpu_count", lambda: 2)
+    p = MatchParams((3, 3, 2))
+    serial = _generate_levels(8, p.c, sizes=p.sizes, classes=p.sizes)
+    assert _generate_levels(8, p.c, sizes=p.sizes, classes=p.sizes, jobs=1000) == serial
+    assert sizes and set(sizes) == {2}
 
 
 @pytest.mark.parametrize(
