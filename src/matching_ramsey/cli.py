@@ -42,12 +42,10 @@ USAGE_ERROR = 2
 
 
 def _params(values: list[int]) -> MatchParams:
+    """Sizes naming a parameter point; verbs reading a coloring take them per color."""
     ordered = tuple(sorted(values, reverse=True))
     if tuple(values) != ordered:
-        print(
-            f"warning: sizes reordered non-increasingly: {list(ordered)}",
-            file=sys.stderr,
-        )
+        print(f"warning: sizes reordered non-increasingly: {list(ordered)}", file=sys.stderr)
     return MatchParams(ordered)
 
 
@@ -104,7 +102,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_free_check(args) -> int:
-    p = _params(args.sizes)
+    p = MatchParams(tuple(args.sizes))
     ec = _parse_coloring(args.file)
     # is_free rejects a color count other than p.c before matching_profile
     # walks all ec.c classes, which a header can make arbitrarily many
@@ -115,7 +113,7 @@ def cmd_free_check(args) -> int:
 
 
 def cmd_structure(args) -> int:
-    p = _params(args.sizes)
+    p = MatchParams(tuple(args.sizes))
     ec = _parse_coloring(args.file)
     witness = find_structure(ec, p)
     if witness is None:
@@ -145,7 +143,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_ledger(args) -> int:
-    p = _params(args.sizes)
+    p = MatchParams(tuple(args.sizes))
     ec = _parse_coloring(args.file)
     led = proof_ledger(ec, p)
     if args.format == "json":

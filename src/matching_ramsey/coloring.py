@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .canon import edge_index
 from .gallai_edmonds import decompose
-from .graph import Edge, Graph, VertexSet, bits, complete_graph, mask_of
+from .graph import Edge, Graph, VertexSet, complete_graph, mask_of, part_of
 from .matching import Matching, has_matching_of_size, matching_number, maximum_matching
 
 
@@ -165,16 +165,12 @@ def construct_critical(p: MatchParams) -> EdgeColoring:
     Every edge of color i is then incident to V_i (or lies inside V_1 for
     i = 1), so class i has no matching of size n_i.
     """
-    parts = critical_parts(p)
-    part_of = {}
-    for idx, part in enumerate(parts, start=1):
-        for v in part:
-            part_of[v] = idx
     n = p.critical_order
+    owner = part_of(critical_parts(p), n)
     host = complete_graph(n)
     table = [0] * (n * (n - 1) // 2)
     for u, v in host.edges():
-        table[edge_index(u, v)] = max(part_of[u], part_of[v])
+        table[edge_index(u, v)] = max(owner[u], owner[v]) + 1
     return EdgeColoring(host, p.c, tuple(table))
 
 
@@ -198,8 +194,8 @@ class StructureWitness:
 def check_structure(ec: EdgeColoring, p: MatchParams, w: StructureWitness) -> bool:
     """Verify that ``w`` certifies block structure for ``ec``.
 
-    After applying the relabelling: part sizes must be 2 n_1 - 1 and n_i - 1;
-    edges inside V_i must have color i; edges between V_1 and V_i must have
+    After applying the relabelling the parts must have the sizes of
+    :func:`critical_parts`; edges inside V_i or between V_1 and V_i must have
     color i; edges between V_i and V_j (2 <= i < j) must have color i or j.
     Colors with n_i = 1 own empty parts and therefore cannot appear at all.
 
@@ -217,28 +213,13 @@ def check_structure(ec: EdgeColoring, p: MatchParams, w: StructureWitness) -> bo
             raise ValueError("relabelling may only exchange colors with equal target sizes")
     if len(w.parts) != p.c:
         raise ValueError("witness needs one part per color")
-    union = 0
-    for part in w.parts:
-        m = mask_of(part)
-        if m & union:
-            raise ValueError("witness parts overlap")
-        union |= m
-    if union != (1 << ec.host.n) - 1:
-        raise ValueError("witness parts do not cover the vertex set")
-
-    for i, s in enumerate(p.sizes, start=1):
-        want = 2 * s - 1 if i == 1 else s - 1
-        if len(w.parts[i - 1]) != want:
-            return False
-
-    part_of = {}
-    for idx, part in enumerate(w.parts, start=1):
-        for v in part:
-            part_of[v] = idx
+    owner = part_of(w.parts, ec.host.n)
+    if any(len(part) != len(want) for part, want in zip(w.parts, critical_parts(p))):
+        return False
 
     for u, v, old in ec.edges_with_colors():
         col = relabel[old - 1]
-        pu, pv = part_of[u], part_of[v]
+        pu, pv = owner[u] + 1, owner[v] + 1
         if pu == pv:
             if col != pu:
                 return False
@@ -315,9 +296,6 @@ class ColorLedger:
     edge_bound_lhs: int
     edge_bound_rhs: int
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ProofLedger:
@@ -387,29 +365,19 @@ def contract_partition(
     contracted edge (i, j) is the lexicographically smallest host edge
     between part i and part j, recorded in the returned map.
     """
-    sets = [frozenset(part) for part in parts]
-    union = 0
-    for s in sets:
-        m = mask_of(s)
-        if m & union:
-            raise ValueError("parts overlap")
-        union |= m
-    if union != (1 << ec.host.n) - 1:
-        raise ValueError("parts do not cover the vertex set")
-
-    k = len(sets)
-    masks = [mask_of(s) for s in sets]
+    owner = part_of(parts, ec.host.n)
+    # host edges come in lexicographic order: the first met is the smallest
+    first: dict[Edge, Edge] = {}
+    for u, v in ec.host.edges():
+        i, j = sorted((owner[u], owner[v]))
+        if i != j:
+            first.setdefault((i, j), (u, v))
+    k = len(parts)
     rep_map: dict[Edge, Edge] = {}
     table = [0] * (k * (k - 1) // 2)
     for j in range(k):
         for i in range(j):
-            best: Edge | None = None
-            for u in sorted(sets[i] | sets[j]):
-                cross = ec.host.rows[u] & (masks[j] if u in sets[i] else masks[i])
-                for v in bits(cross):
-                    cand = (u, v) if u < v else (v, u)
-                    if best is None or cand < best:
-                        best = cand
+            best = first.get((i, j))
             if best is None:
                 raise ValueError(f"no host edge joins part {i} and part {j}")
             rep_map[(i, j)] = best

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .graph import Graph, VertexSet, bits, connected_components, induced_subgraph, mask_of
+from .graph import Graph, VertexSet, bits, connected_components, induced_subgraph, mask_of, part_of
 from .matching import has_matching_of_size, is_factor_critical, matching_number, missed_mask
 
 SURPLUS_SUBSET_LIMIT = 20
@@ -143,22 +143,7 @@ def _surplus_positive(g: Graph, ged: GEDecomposition) -> bool:
 
 def verify_decomposition(g: Graph, ged: GEDecomposition) -> VerificationReport:
     """Check the five structure clauses for the partition ``ged`` of ``g``."""
-    d_mask = mask_of(ged.d)
-    a_mask = mask_of(ged.a)
-    c_mask = mask_of(ged.c)
-    comp_union = 0
-    for comp in ged.d_components:
-        m = mask_of(comp)
-        if comp_union & m:
-            raise ValueError("d_components overlap")
-        comp_union |= m
-    if comp_union != d_mask:
-        raise ValueError("d_components do not cover D")
-    if d_mask & a_mask or d_mask & c_mask or a_mask & c_mask:
-        raise ValueError("decomposition parts overlap")
-    if (d_mask | a_mask | c_mask) != (1 << g.n) - 1:
-        raise ValueError("decomposition does not cover the vertex set")
-
+    part_of([*ged.d_components, ged.a, ged.c], g.n)
     subs = [induced_subgraph(g, comp)[0] for comp in ged.d_components]
     critical = [is_factor_critical(sub) for sub in subs]
     a_ok = all(critical)

@@ -4,7 +4,8 @@ Vertices are the integers 0..n-1 and the adjacency relation is stored as one
 integer bitmask per vertex.  That keeps membership tests O(1), makes
 vertex-subset operations plain mask arithmetic, and lets the search engine
 share graphs freely between workers: a :class:`Graph` is immutable after
-construction and every operation here is a pure function.
+construction and every operation here is a pure function.  :func:`part_of`
+is the package's one check that vertex sets partition 0..n-1.
 """
 
 from __future__ import annotations
@@ -30,6 +31,21 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def part_of(parts: Iterable[Iterable[int]], n: int) -> list[int]:
+    """The index of each vertex's part; ValueError unless the parts partition 0..n-1."""
+    owner = [-1] * n
+    for i, part in enumerate(parts):
+        for v in part:  # a vertex repeated inside one part is allowed
+            if not 0 <= v < n:
+                raise ValueError(f"vertex {v} outside 0..{n - 1}")
+            if owner[v] not in (-1, i):
+                raise ValueError("parts overlap")
+            owner[v] = i
+    if -1 in owner:
+        raise ValueError("parts do not cover the vertex set")
+    return owner
 
 
 @dataclass(frozen=True)

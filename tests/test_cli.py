@@ -280,3 +280,32 @@ def test_search_flags_must_be_positive(capsys, flag, value):
     code, out, err = run(capsys, "verify", "2", "2", flag, value)
     assert code == 2 and out == ""
     assert flag in err and "at least 1" in err
+
+
+K4_TWO_COLORS = "4 2\n1 2 2\n1 1\n1\n"  # color 1 holds the 2-matching {0-1, 2-3}
+
+
+@pytest.mark.parametrize("verb", ["free-check", "structure", "ledger"])
+def test_coloring_verbs_take_sizes_per_color(capsys, tmp_path, verb):
+    # reordering the sizes of a coloring's colors would change the question
+    path = tmp_path / "k4.ecg"
+    path.write_text(K4_TWO_COLORS)
+    code, out, err = run(capsys, verb, str(path), "--params", "2", "3")
+    assert code == 2 and out == ""
+    assert err == "error: matching sizes must be non-increasing\n"
+
+
+def test_free_check_with_sorted_sizes(capsys, tmp_path):
+    path = tmp_path / "k4.ecg"
+    path.write_text(K4_TWO_COLORS)
+    code, out, err = run(capsys, "free-check", str(path), "--params", "3", "2")
+    assert code == 0 and out == "FREE nu=[2,1]\n" and err == ""
+
+
+@pytest.mark.parametrize("verb", ["critical", "construct"])
+def test_unwritable_output_exits_2(capsys, tmp_path, verb):
+    target = tmp_path / "missing" / "x.ecg"
+    code, _, err = run(capsys, verb, "3", "2", "-o", str(target))
+    # critical streams its progress to stderr first
+    assert code == 2 and err.splitlines()[-1].startswith("error: cannot write")
+    assert not target.exists()

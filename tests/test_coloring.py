@@ -63,6 +63,12 @@ def test_edge_coloring_validation():
     p3 = graph_from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
         coloring_from_map(p3, 2, {(0, 1): 1, (1, 2): 1, (0, 2): 2})  # non-edge colored
+    with pytest.raises(ValueError, match="at least one color"):
+        EdgeColoring(complete_graph(2), 0, (1,))
+    ec = coloring_from_map(p3, 1, {(0, 1): 1, (1, 2): 1})
+    assert ec.color_of(1, 0) == 1
+    with pytest.raises(KeyError):
+        ec.color_of(0, 2)
 
 
 def test_color_class_examples():
@@ -289,3 +295,11 @@ def test_find_structure_matches_the_oracle_on_critical_and_perturbed_colorings()
             assert witness == brute_force_structure(ec, p)
             outcomes.add(witness is None)
     assert outcomes == {True, False}
+
+
+def test_find_structure_needs_a_complete_host():
+    p = MatchParams((2, 2))
+    host = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    ec = coloring_from_map(host, 2, {e: 1 for e in host.edges()})
+    with pytest.raises(ValueError, match="complete host"):
+        find_structure(ec, p)

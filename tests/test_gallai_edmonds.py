@@ -84,6 +84,24 @@ def test_verify_a_fabricated_partition_of_p3():
     }
 
 
+def test_verify_a_partition_failing_only_the_surplus_clause():
+    # A = {1} sees the single D-component {0}: |N(A)| = |A|, so clause (c)
+    # fails while every other clause holds
+    edge = graph_from_edges(2, [(0, 1)])
+    fake = GEDecomposition((frozenset({0}),), frozenset({1}), frozenset())
+    report = verify_decomposition(edge, fake)
+    assert not report.positive_surplus and not report.all_ok
+    assert report.as_dict() == {
+        "components_factor_critical": True,
+        "c_has_perfect_matching": True,
+        "positive_surplus": False,
+        "maximum_matching_structure": True,
+        "size_formula_holds": True,
+        "matching_number": 1,
+        "formula_value": 1,
+    }
+
+
 def test_all_graphs_up_to_six_vertices():
     for n in range(7):
         for g in enumerate_graphs(n):

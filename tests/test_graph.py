@@ -9,6 +9,7 @@ from matching_ramsey import (
     induced_subgraph,
     is_connected,
 )
+from matching_ramsey.graph import part_of
 
 
 def test_complete_graph_edge_counts():
@@ -32,6 +33,14 @@ def test_graph_validation():
         Graph(2, (1, 0))  # row 0 claims edge to itself... asymmetric
     with pytest.raises(ValueError):
         Graph(2, (2, 0))  # asymmetric: 0-1 present only on one side
+    with pytest.raises(ValueError, match="non-negative"):
+        Graph(-1, ())
+    with pytest.raises(ValueError, match="one row per vertex"):
+        Graph(2, (0,))
+    with pytest.raises(ValueError, match="outside 0..1"):
+        Graph(2, (4, 0))
+    with pytest.raises(ValueError, match="non-negative"):
+        complete_graph(-1)
 
 
 def test_induced_subgraph():
@@ -95,3 +104,22 @@ def test_induced_subgraph_preserves_adjacency(g, data):
     for i in range(sub.n):
         for j in range(i + 1, sub.n):
             assert sub.has_edge(i, j) == g.has_edge(order[i], order[j])
+
+
+def test_part_of():
+    assert part_of([{2}, [0, 3, 0], set(), (1,)], 4) == [1, 3, 0, 1]
+    assert part_of([], 0) == []
+
+
+@pytest.mark.parametrize(
+    "parts,message",
+    [
+        ([{0, 1}, {2, 3}], "vertex 3 outside 0..2"),
+        ([{0, -1}, {1, 2}], "vertex -1 outside 0..2"),
+        ([{0, 1}, {1, 2}], "parts overlap"),
+        ([{0}, {2}], "do not cover"),
+    ],
+)
+def test_part_of_rejects(parts, message):
+    with pytest.raises(ValueError, match=message):
+        part_of(parts, 3)
