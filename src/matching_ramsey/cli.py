@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -170,6 +171,8 @@ def cmd_verify(args) -> int:
 
 def cmd_critical(args) -> int:
     p = _params(args.sizes)
+    if args.output is not None and not os.access(Path(args.output).parent, os.W_OK):
+        raise ValueError(f"cannot write {args.output}: its directory is missing or read-only")
     report = enumerate_critical(p, guard=args.guard, jobs=args.jobs, progress=_progress)
     print(
         f"order={report.order_checked} classes={len(report.critical_classes)} "

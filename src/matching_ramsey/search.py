@@ -26,28 +26,26 @@ whose full word is again canonical.  Five prunes keep the tree small:
   matching inside that K_t is vertex-disjoint from one inside the word, so
   together they form a matching: class i of the K_t has nu <= s_i, hence
   at most ex(t, s_i) edges, the Erdos-Gallai maximum (Acta Math. Acad. Sci.
-  Hungar. 10, 1959).  A row is dropped when C(t, 2) > sum_i ex(t, s_i) for
-  some 2 <= t <= T - m - 1.  Its slacks come free from the same lemma: the
-  row raises nu_i exactly when it uses color i at a vertex of D_i.  The
-  bound uses no Ramsey value, so nothing it prunes assumes what the search
-  proves;
+  Hungar. 10, 1959).  While two or more orders are missing, a row is
+  dropped when C(t, 2) > sum_i ex(t, s_i) for some 2 <= t <= T - m - 1.
+  Its slacks come free from the same lemma: the row raises nu_i exactly
+  when it uses color i at a vertex of D_i.  The bound uses no Ramsey value,
+  so nothing it prunes assumes what the search proves;
 * symmetry of the representative: a row that swapping two of its twins, or
   two same-class colors it never uses, makes smaller is dropped without a
   canonicity test (``canon.Prefix.has_smaller_swap``);
-* no dead vertex, below the target: by the same lemma one order up, the
-  K_{m+1} word has no free one-vertex extension exactly when every class
-  is tight and some vertex lies in every class's D, for then no color may
-  join that vertex to a new one.  Such a row is dropped before the
-  canonicity test.  Each class's new D is read off one alternating forest
-  of its kept maximum matching, augmented from the new vertex when the row
-  raises nu_i.  The rule uses no Ramsey value either; since a row that
-  leaves every class tight already fails the lookahead at t = 2, it drops
-  words only one order below the target;
+* no dead vertex, when exactly one order is missing: by the same lemma one
+  order up, the K_{m+1} word has no free one-vertex extension exactly when
+  every class is tight and some vertex lies in every class's D, for then
+  no color may join that vertex to a new one.  Each class's new D is read
+  off one alternating forest of its kept maximum matching, augmented from
+  the new vertex when the row raises nu_i.  No Ramsey value is used; a row
+  that leaves every class tight fails the lookahead at t = 2 anyway;
 * candidate extensions that are not lex-minimal in their orbit are discarded
   (and with them their entire subtree, since canonicity is prefix-inherited).
 
 With a target, the levels below it keep only the classes that pass the
-lookahead, and the levels from the target on are complete.
+row filters, and the levels from the target on are complete.
 ``verify_ramsey_exhaustive`` therefore targets r - 1, not r: the critical
 classes cannot reach order r, so a target of r could prune them away, and
 order r is the plain extension of the complete critical level.
@@ -66,7 +64,6 @@ reports are byte-for-byte deterministic regardless of the worker count.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
@@ -93,8 +90,7 @@ class SearchReport:
 
     ``free_count`` counts the free canonical classes at ``order_checked``;
     ``critical_classes`` holds the free canonical representatives of the
-    extremal order r - 1.  ``elapsed`` is wall time and stays out of
-    :meth:`as_dict`, so serialised reports are deterministic.
+    extremal order r - 1.
     """
 
     params: MatchParams
@@ -102,7 +98,6 @@ class SearchReport:
     free_count: int
     critical_classes: tuple[EdgeColoring, ...]
     witnesses: tuple[StructureWitness | None, ...] = field(repr=False)
-    elapsed: float = 0.0
 
     @property
     def verified(self) -> bool:
@@ -264,14 +259,14 @@ def _extend_representative(
 
     With ``sizes`` given, each edge to the new vertex ranges over the
     allowed colors of :func:`extension_state`, so every candidate row is
-    free; otherwise over all ``c`` colors.  With ``target`` given too, rows
-    after which the word cannot reach order ``target`` are dropped first,
-    and below the target so are rows after which it has no free one-vertex
-    extension.  Rows come in lexicographic order.  The prefix state of
-    ``word`` is built once: it drops the rows a symmetry of ``word`` makes
-    smaller and is extended by each remaining row in the canonicity test.
+    free; otherwise over all ``c`` colors.  Rows come in lexicographic
+    order.  The prefix state of ``word``, built once, drops the rows a
+    symmetry of ``word`` makes smaller; the canonicity test extends it by
+    each remaining row.  With ``target`` given, one filter runs between the
+    two: it drops rows after which the word cannot reach ``target`` while
+    two or more orders are missing, or has no free extension when one is.
     """
-    extendable = None
+    keep = None
     if sizes is None:
         rows = map(bytes, product(range(c), repeat=m))
     else:
@@ -279,13 +274,13 @@ def _extend_representative(
         rows = map(bytes, product(*ext.allowed))
         more = 0 if target is None else target - m - 1
         if more >= 2:
-            rows = filter(_lookahead(ext, more), rows)
-        if more >= 1:
-            extendable = _extendable(ext, m)
+            keep = _lookahead(ext, more)
+        elif more == 1:
+            keep = _extendable(ext, m)
     prefix = Prefix(word, m, classes)
     out = []
     for row in rows:
-        if prefix.has_smaller_swap(row) or (extendable is not None and not extendable(row)):
+        if prefix.has_smaller_swap(row) or (keep is not None and not keep(row)):
             continue
         cand = word + row
         if is_canonical(cand, m + 1, classes, prefix):
@@ -309,14 +304,11 @@ def _generate_levels(
     lexicographic order, under vertex permutations and the color
     permutations that keep each color inside its ``classes`` label.  With
     ``sizes`` set, only free colorings survive; with ``target`` set as well,
-    only those that pass the lookahead bound for order ``target``, so the
+    only those that pass the row filters for order ``target``, so the
     lists are complete from order ``target`` on.
     """
-    levels: list[list[bytes]] = [[b""], [b""]]  # K_0 and K_1: no edges
+    levels: list[list[bytes]] = [[b""], [b""]][: n + 1]  # K_0 and K_1: no edges
     workers = min(jobs, os.cpu_count() or 1)
-    if n <= 1:
-        del levels[n + 1:]
-        return levels
     for m in range(1, n):
         reps = levels[m]
         extend = partial(
@@ -398,7 +390,7 @@ def free_coloring_classes(
 
 
 def _report(
-    p: MatchParams, order: int, free_count: int, classes: list[EdgeColoring], started: float
+    p: MatchParams, order: int, free_count: int, classes: list[EdgeColoring]
 ) -> SearchReport:
     """Re-check each critical class through the public freeness test (a
     pruning bug cannot fabricate freeness) and read its block-structure
@@ -412,7 +404,6 @@ def _report(
         free_count=free_count,
         critical_classes=tuple(classes),
         witnesses=tuple(find_structure(ec, p) for ec in classes),
-        elapsed=time.perf_counter() - started,
     )
 
 
@@ -428,10 +419,9 @@ def enumerate_critical(
     Every class is re-checked for freeness and given its block-structure
     witness; classes without one are reported in ``structure_failures``.
     """
-    started = time.perf_counter()
     order = ramsey_value(p) - 1
     classes = free_coloring_classes(p, order, guard=guard, jobs=jobs, progress=progress)
-    return _report(p, order, len(classes), classes, started)
+    return _report(p, order, len(classes), classes)
 
 
 def verify_ramsey_exhaustive(
@@ -449,14 +439,13 @@ def verify_ramsey_exhaustive(
     given witnesses as in :func:`enumerate_critical`.  The search targets
     r - 1, so order r is the plain extension of every free class of K_{r-1}.
     """
-    started = time.perf_counter()
     r = ramsey_value(p)
     _check_guard(r, guard)
     levels = _generate_levels(
         r, p.c, sizes=p.sizes, classes=p.sizes, target=r - 1, jobs=jobs, progress=progress
     )
     critical = [_coloring_from_word(w, r - 1, p.c) for w in levels[r - 1]]
-    return _report(p, r, len(levels[r]), critical, started)
+    return _report(p, r, len(levels[r]), critical)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ tolerances to tune.
 """
 
 import random
+import time
 
 from matching_ramsey import (
     MatchParams,
@@ -50,9 +51,11 @@ def test_criterion_2_exhaustive_ramsey_verification():
     ok = True
     timings = []
     for sizes in [(2, 2), (3, 2), (2, 2, 2), (3, 3)]:
+        started = time.perf_counter()
         rep = verify_ramsey_exhaustive(MatchParams(sizes))
+        elapsed = time.perf_counter() - started
         ok = ok and rep.verified and rep.free_count == 0 and len(rep.critical_classes) > 0
-        timings.append(f"{sizes}:{rep.elapsed:.2f}s")
+        timings.append(f"{sizes}:{elapsed:.2f}s")
     report(2, "exhaustive Ramsey verification " + " ".join(timings), ok)
 
 

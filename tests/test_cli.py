@@ -306,6 +306,17 @@ def test_free_check_with_sorted_sizes(capsys, tmp_path):
 def test_unwritable_output_exits_2(capsys, tmp_path, verb):
     target = tmp_path / "missing" / "x.ecg"
     code, _, err = run(capsys, verb, "3", "2", "-o", str(target))
-    # critical streams its progress to stderr first
-    assert code == 2 and err.splitlines()[-1].startswith("error: cannot write")
+    # critical checks the path before it searches: no progress lines
+    assert code == 2 and len(err.splitlines()) == 1 and err.startswith("error: cannot write")
     assert not target.exists()
+
+
+def test_critical_output_check_touches_no_file(capsys, tmp_path):
+    # the order guard fails after the path check: an existing file keeps
+    # its bytes and a missing one is not created
+    kept, missing = tmp_path / "kept.ecg", tmp_path / "new.ecg"
+    kept.write_text("keep\n")
+    for target in (kept, missing):
+        code, _, err = run(capsys, "critical", "5", "5", "-o", str(target))
+        assert code == 2 and "enumeration guard" in err
+    assert kept.read_text() == "keep\n" and not missing.exists()

@@ -23,6 +23,7 @@ from matching_ramsey import (
 from matching_ramsey.canon import canonical_form
 from matching_ramsey.matching import matching_number
 from matching_ramsey.search import (
+    _can_reach,
     _coloring_from_word,
     _ex,
     _extendable,
@@ -155,6 +156,33 @@ def test_free_class_counts_per_level(sizes, counts):
     assert [len(free_coloring_classes(p, m, guard=r)) for m in range(r + 1)] == counts
     report = verify_ramsey_exhaustive(p, guard=r)
     assert report.verified and len(report.critical_classes) == counts[r - 1]
+
+
+@pytest.mark.parametrize(
+    "sizes,counts",
+    [
+        ((3, 3, 2), [1, 1, 2, 5, 15, 72, 35, 6, 3, 0]),
+        ((2, 2, 2, 2, 2), [1, 1, 1, 3, 8, 11, 6, 4, 0]),
+        ((4, 3), [1, 1, 2, 4, 6, 11, 13, 9, 2, 1, 0]),
+        ((3, 2, 2), [1, 1, 2, 5, 12, 9, 2, 1, 0]),
+        ((4, 3, 2), [1, 1, 3, 9, 28, 73, 77, 337, 51, 6, 3, 0]),
+    ],
+)
+def test_targeted_level_counts(sizes, counts):
+    # the levels of verify's own search (target r - 1): the lookahead thins
+    # the levels up to r - 3, the dead-vertex test level r - 2
+    p = MatchParams(sizes)
+    r = ramsey_value(p)
+    levels = _generate_levels(r, p.c, sizes=p.sizes, classes=p.sizes, target=r - 1)
+    assert [len(level) for level in levels] == counts
+
+
+def test_slackless_words_cannot_grow():
+    # a word with every class tight fails the lookahead at t = 2, so the
+    # dead-vertex test has nothing to drop while two or more orders are missing
+    for c in range(1, 7):
+        for more in range(2, 6):
+            assert not _can_reach([0] * c, more)
 
 
 def _check_ex(t):
