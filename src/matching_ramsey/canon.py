@@ -28,10 +28,12 @@ each position.  Nothing of size n! is built, so the test has no order limit.
 A ``Prefix`` is the state that the one-vertex extensions of a K_m word
 share: color rows, class members, unused colors and twin classes, which
 only ``Prefix.joined`` computes (a class splits by the new vertex's colors,
-and the new vertex joins at most one class).  The search builds it once per
-representative.  ``has_smaller_swap`` drops a row that swapping two twins,
-or two same-class colors the prefix never uses, makes smaller, and
-``is_canonical`` extends the state by the word's last block.
+and the new vertex joins at most one class).  The search builds it once
+per search and then carries it: ``Prefix.child`` is the state of a
+representative, one ``joined`` step from its parent's.
+``has_smaller_swap`` drops a row that swapping two twins, or two same-class
+colors the prefix never uses, makes smaller, and ``is_canonical`` extends
+the state by the word's last block.
 
 ``perm_edge_table`` and ``canonical_form`` compute the orbit minimum by brute
 force over every vertex and color permutation.  They are the reference the
@@ -66,11 +68,12 @@ class Prefix:
 
     ``rows[v]``: the colors from v to every vertex (-1 at v itself);
     ``members``: the colors of each class label; ``twins``: the twin classes
-    in order of their least member; ``twin_pairs`` and ``free``: consecutive
-    members of a twin class, and consecutive unused colors of a class.
+    in order of their least member; ``unused``: the colors of each class
+    the word never uses; ``twin_pairs`` and ``free``: consecutive members of
+    a twin class, and consecutive unused colors of a class.
     """
 
-    __slots__ = ("members", "rows", "twins", "twin_pairs", "free")
+    __slots__ = ("members", "rows", "twins", "unused", "twin_pairs", "free")
 
     def __init__(self, word, m: int, classes: tuple[int, ...]) -> None:
         self.members: dict[int, list[int]] = {}
@@ -79,8 +82,19 @@ class Prefix:
         self.rows, self.twins = [], []
         for k in range(m):
             self.rows, self.twins = self.joined(word[k * (k - 1) // 2 : k * (k + 1) // 2])
+        self._pair([[col for col in cols if col not in word] for cols in self.members.values()])
+
+    def child(self, row) -> Prefix:
+        """The state of the word extended by a vertex with colors ``row``."""
+        state = Prefix.__new__(Prefix)
+        state.members = self.members
+        state.rows, state.twins = self.joined(row)
+        state._pair([[col for col in cols if col not in row] for cols in self.unused])
+        return state
+
+    def _pair(self, unused: list[list[int]]) -> None:
+        self.unused = unused
         self.twin_pairs = [pair for twins in self.twins for pair in zip(twins, twins[1:])]
-        unused = [[col for col in cols if col not in word] for cols in self.members.values()]
         self.free = [pair for cols in unused for pair in zip(cols, cols[1:])]
 
     def joined(self, block) -> tuple[list[list[int]], list[list[int]]]:

@@ -67,6 +67,15 @@ def _emit(text: str, output: str | None) -> None:
             raise ValueError(f"cannot write {output}: {exc}") from exc
 
 
+def _check_writable(output: str) -> None:
+    """Reject an output path that cannot be written, before a long run; touch nothing."""
+    path = Path(output)
+    if path.is_dir():
+        raise ValueError(f"cannot write {output}: it is a directory")
+    if not os.access(path if path.exists() else path.parent, os.W_OK):
+        raise ValueError(f"cannot write {output}: it or its directory is read-only or missing")
+
+
 def _render_coloring(ec, fmt: str) -> str:
     if fmt == "ecg":
         return format_ecg(ec)
@@ -171,8 +180,8 @@ def cmd_verify(args) -> int:
 
 def cmd_critical(args) -> int:
     p = _params(args.sizes)
-    if args.output is not None and not os.access(Path(args.output).parent, os.W_OK):
-        raise ValueError(f"cannot write {args.output}: its directory is missing or read-only")
+    if args.output is not None:
+        _check_writable(args.output)
     report = enumerate_critical(p, guard=args.guard, jobs=args.jobs, progress=_progress)
     print(
         f"order={report.order_checked} classes={len(report.critical_classes)} "

@@ -44,6 +44,13 @@ whose full word is again canonical.  Five prunes keep the tree small:
 * candidate extensions that are not lex-minimal in their orbit are discarded
   (and with them their entire subtree, since canonicity is prefix-inherited).
 
+The state these prunes read is built once per search.  One table maps each
+class graph to a maximum matching and its D; a class graph met again, by
+another representative or one order up after the dead-vertex test grew it,
+is not matched again, and the table forgets each order once it is
+extended.  The prefix state of ``canon.Prefix`` travels with the words:
+each representative's state is its parent's plus one row.
+
 With a target, the levels below it keep only the classes that pass the
 row filters, and the levels from the target on are complete.
 ``verify_ramsey_exhaustive`` therefore targets r - 1, not r: the critical
@@ -57,8 +64,9 @@ Canonicity is decided by a backtracking search, so no order limit comes
 from the canonicity test; the order guard bounds the running time.
 
 Work distribution splits a level's representatives across worker processes,
-at most one per CPU; representative order is preserved when merging, so
-reports are byte-for-byte deterministic regardless of the worker count.
+at most one per CPU, each with its parent's prefix state and an empty table;
+representative order is preserved when merging, so reports are byte-for-byte
+deterministic regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -131,6 +139,11 @@ class SearchReport:
 # ---------------------------------------------------------------------------
 
 
+# A class graph's adjacency masks -> a maximum matching of it and its D.  One
+# table serves one search, so each class graph's state is built once.
+Table = dict[tuple[int, ...], tuple[list[int], int]]
+
+
 class Extension(NamedTuple):
     """What the rows to a new vertex over a free K_m word share."""
 
@@ -141,9 +154,12 @@ class Extension(NamedTuple):
     mates: list[list[int]]  # per class: a maximum matching as a mate array
 
 
-def extension_state(word: bytes, m: int, sizes: tuple[int, ...]) -> Extension:
+def extension_state(
+    word: bytes, m: int, sizes: tuple[int, ...], table: Table | None = None
+) -> Extension:
     """The :class:`Extension` of a free K_m word, from one maximum matching
-    per color class and the D read off its alternating forest.
+    per color class and the D read off its alternating forest; a class
+    graph ``table`` already holds is not matched again.
 
     Lemma (Gallai-Edmonds; proved in :mod:`matching_ramsey.star`): joining a
     new vertex to a set S raises nu(G) exactly when S meets D(G).  So a row
@@ -153,15 +169,22 @@ def extension_state(word: bytes, m: int, sizes: tuple[int, ...]) -> Extension:
     free exactly when each of its edges is allowed on its own.  A class with
     n_i = 1 is tight with D every vertex, so its color is barred everywhere.
     """
+    if table is None:
+        table = {}
     rows = [[0] * m for _ in sizes]
     for col, (u, v) in zip(word, edge_list(m)):
         rows[col][u] |= 1 << v
         rows[col][v] |= 1 << u
     slack, in_d, mates = [], [0] * m, []
     for i, (r, s) in enumerate(zip(rows, sizes)):
-        match = _matching_on_masks(r, m)
+        key = tuple(r)
+        state = table.get(key)
+        if state is None:
+            match = _matching_on_masks(r, m)
+            state = table[key] = match, forest_d(r, m, match)
+        match, d = state
         slack.append(s - 1 - _mate_size(match))
-        for u in bits(forest_d(r, m, match)):
+        for u in bits(d):
             in_d[u] |= 1 << i
         mates.append(match)
     allowed = [[i for i, s in enumerate(slack) if s or not d >> i & 1] for d in in_d]
@@ -209,7 +232,9 @@ def _lookahead(ext: Extension, more: int) -> Callable[[bytes], bool]:
     return keep
 
 
-def _extendable(ext: Extension, m: int) -> Callable[[bytes], bool] | None:
+def _extendable(
+    ext: Extension, m: int, table: Table | None = None
+) -> Callable[[bytes], bool] | None:
     """Row filter: does the word keep a free one-vertex extension after ``row``?
 
     It has none exactly when some vertex admits no color, that is, when
@@ -219,10 +244,13 @@ def _extendable(ext: Extension, m: int) -> Callable[[bytes], bool] | None:
     slack is larger; None means that no row can.  For such a row, the new
     vertex x is exposed in each kept matching, and where the row raises
     nu_i one augmentation from x makes the matching maximum again; the new
-    D is read off its forest.
+    D is read off its forest.  Both go into ``table``, where the next
+    order's :func:`extension_state` finds them.
     """
     if any(s > 1 for s in ext.slack):
         return None
+    if table is None:
+        table = {}
     ones = sum(1 << i for i, s in enumerate(ext.slack) if s)
     everyone = (1 << (m + 1)) - 1
 
@@ -236,10 +264,14 @@ def _extendable(ext: Extension, m: int) -> Callable[[bytes], bool] | None:
             grown[col][m] |= 1 << u
         dead = everyone
         for i, (g, mate) in enumerate(zip(grown, ext.mates)):
-            match = mate + [-1]
-            if hit >> i & 1:
-                _augment(g, m + 1, match, [m])
-            dead &= forest_d(g, m + 1, match)
+            key = tuple(g)
+            state = table.get(key)
+            if state is None:
+                match = mate + [-1]
+                if hit >> i & 1:
+                    _augment(g, m + 1, match, [m])
+                state = table[key] = match, forest_d(g, m + 1, match)
+            dead &= state[1]
             if not dead:
                 return True
         return False
@@ -248,36 +280,42 @@ def _extendable(ext: Extension, m: int) -> Callable[[bytes], bool] | None:
 
 
 def _extend_representative(
-    word: bytes,
+    rep: tuple[Prefix, bytes],
     m: int,
     c: int,
     classes: tuple[int, ...],
     sizes: tuple[int, ...] | None,
     target: int | None = None,
-) -> list[bytes]:
-    """Canonical words of K_{m+1} whose K_m prefix is ``word``.
+    table: Table | None = None,
+) -> tuple[Prefix | None, list[bytes]]:
+    """Canonical words of K_{m+1} whose K_m prefix is ``word``, where
+    ``rep`` is the word's parent's :class:`Prefix` and the word.
 
     With ``sizes`` given, each edge to the new vertex ranges over the
     allowed colors of :func:`extension_state`, so every candidate row is
     free; otherwise over all ``c`` colors.  Rows come in lexicographic
-    order.  The prefix state of ``word``, built once, drops the rows a
-    symmetry of ``word`` makes smaller; the canonicity test extends it by
-    each remaining row.  With ``target`` given, one filter runs between the
-    two: it drops rows after which the word cannot reach ``target`` while
-    two or more orders are missing, or has no free extension when one is.
+    order.  The word's own prefix state, its parent's plus one row, drops
+    the rows a symmetry of the word makes smaller; the canonicity test
+    extends it by each remaining row.  With ``target`` given, one filter
+    runs between the two: it drops rows after which the word cannot reach
+    ``target`` while two or more orders are missing, or has no free
+    extension when one is.  ``table`` is the search's table of class graph
+    states.  The prefix state comes back with the words when there are any,
+    for their own extension.
     """
+    parent, word = rep
+    prefix = parent.child(word[(m - 1) * (m - 2) // 2 :])
     keep = None
     if sizes is None:
         rows = map(bytes, product(range(c), repeat=m))
     else:
-        ext = extension_state(word, m, sizes)
+        ext = extension_state(word, m, sizes, table)
         rows = map(bytes, product(*ext.allowed))
         more = 0 if target is None else target - m - 1
         if more >= 2:
             keep = _lookahead(ext, more)
         elif more == 1:
-            keep = _extendable(ext, m)
-    prefix = Prefix(word, m, classes)
+            keep = _extendable(ext, m, table)
     out = []
     for row in rows:
         if prefix.has_smaller_swap(row) or (keep is not None and not keep(row)):
@@ -285,7 +323,7 @@ def _extend_representative(
         cand = word + row
         if is_canonical(cand, m + 1, classes, prefix):
             out.append(cand)
-    return out
+    return (prefix if out else None), out
 
 
 def _generate_levels(
@@ -306,15 +344,24 @@ def _generate_levels(
     ``sizes`` set, only free colorings survive; with ``target`` set as well,
     only those that pass the row filters for order ``target``, so the
     lists are complete from order ``target`` on.
+
+    The search state is built once.  One :data:`Table` holds the class
+    graphs of the order being extended and the next; worker processes start
+    from an empty one.  Each word of the level being extended travels with
+    its parent's :class:`Prefix`, which only representatives with children
+    pass on.
     """
     levels: list[list[bytes]] = [[b""], [b""]][: n + 1]  # K_0 and K_1: no edges
+    reps = [(Prefix(b"", 0, classes), b"")]  # levels[m], each word with its parent's state
+    table: Table = {}
     workers = min(jobs, os.cpu_count() or 1)
     for m in range(1, n):
-        reps = levels[m]
+        pooled = workers > 1 and len(reps) > 2 * workers
         extend = partial(
-            _extend_representative, m=m, c=c, classes=classes, sizes=sizes, target=target
+            _extend_representative, m=m, c=c, classes=classes, sizes=sizes, target=target,
+            table={} if pooled else table,
         )
-        if workers > 1 and len(reps) > 2 * workers:
+        if pooled:
             from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
             chunksize = max(1, len(reps) // (4 * workers))
@@ -322,8 +369,10 @@ def _generate_levels(
                 results = list(pool.map(extend, reps, chunksize=chunksize))
         else:
             results = list(map(extend, reps))
-        nxt = [w for sub in results for w in sub]
+        reps = [(prefix, w) for prefix, sub in results for w in sub]
+        nxt = [w for _, w in reps]
         levels.append(nxt)
+        table = {key: state for key, state in table.items() if len(key) > m}
         if progress is not None:
             progress(m + 1, len(nxt))
     return levels

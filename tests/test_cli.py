@@ -311,6 +311,26 @@ def test_unwritable_output_exits_2(capsys, tmp_path, verb):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("kind", ["directory", "read-only file"])
+def test_critical_rejects_an_unwritable_output_before_it_searches(capsys, tmp_path, monkeypatch, kind):
+    # an existing directory, or an existing file the user may not write,
+    # exits 2 before any progress line, and no file is created or truncated
+    if kind == "directory":
+        target = tmp_path / "out"
+        target.mkdir()
+    else:
+        target = tmp_path / "kept.ecg"
+        target.write_text("keep\n")
+        target.chmod(0o444)
+        # root may write any file, so answer os.access as a user without write permission
+        real_access = os.access
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: Path(path) != target and real_access(path, mode))
+    code, _, err = run(capsys, "critical", "3", "2", "-o", str(target))
+    assert code == 2 and len(err.splitlines()) == 1 and err.startswith(f"error: cannot write {target}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [target.name]
+    assert target.is_dir() if kind == "directory" else target.read_text() == "keep\n"
+
+
 def test_critical_output_check_touches_no_file(capsys, tmp_path):
     # the order guard fails after the path check: an existing file keeps
     # its bytes and a missing one is not created

@@ -20,7 +20,8 @@ from matching_ramsey import (
     ramsey_value,
     verify_ramsey_exhaustive,
 )
-from matching_ramsey.canon import canonical_form
+from matching_ramsey import search
+from matching_ramsey.canon import Prefix, canonical_form
 from matching_ramsey.matching import matching_number
 from matching_ramsey.search import (
     _can_reach,
@@ -241,6 +242,55 @@ def test_dead_vertex_rule_is_exact(sizes):
     assert dropped > 0
 
 
+PREFIX_FIELDS = ("rows", "twins", "twin_pairs", "free")
+
+
+@pytest.mark.parametrize("sizes", [(3, 3, 2), (2, 2, 2, 2, 2), (4, 3), (3, 2, 2)])
+def test_reused_search_state_is_the_fresh_state(monkeypatch, sizes):
+    # every representative verify's search extends: the Gallai-Edmonds data
+    # it reads from the search's table and the prefix states carried from
+    # its parent equal those rebuilt from its word alone, and the dead-vertex
+    # filter with the search's table keeps exactly the rows whose grown word
+    # leaves every vertex a color
+    p = MatchParams(sizes)
+    r = ramsey_value(p)
+    states = {}
+
+    def state_spy(word, m, sizes, table=None):
+        states[word] = extension_state(word, m, sizes, table)
+        return states[word]
+
+    real_extend = search._extend_representative
+    checked = {}
+
+    def extend_spy(rep, m, **kw):
+        prefix, out = real_extend(rep, m, **kw)
+        parent, word = rep
+        carried = [(parent, Prefix(word[: (m - 1) * (m - 2) // 2], m - 1, p.sizes))]
+        if prefix is not None:
+            carried.append((prefix, Prefix(word, m, p.sizes)))
+        for got, want in carried:
+            assert [getattr(got, f) for f in PREFIX_FIELDS] == [getattr(want, f) for f in PREFIX_FIELDS]
+        ext, want = states.pop(word), extension_state(word, m, p.sizes)
+        assert (ext.allowed, ext.slack, ext.in_d) == (want.allowed, want.slack, want.in_d), word
+        for n_i, s, masks, mate in zip(p.sizes, want.slack, ext.masks, ext.mates):
+            # a matching of the class graph, as large as a fresh maximum one
+            assert len(mate) == m
+            assert all(v < 0 or mate[v] == u and masks[u] >> v & 1 for u, v in enumerate(mate))
+            assert sum(v >= 0 for v in mate) // 2 == n_i - 1 - s
+        if kw["target"] - m - 1 == 1:
+            keep = _extendable(ext, m, kw["table"])
+            for row in map(bytes, product(*ext.allowed)):
+                assert (keep is None or keep(row)) == all(extension_state(word + row, m + 1, p.sizes).allowed)
+        checked[m] = checked.get(m, 0) + 1
+        return prefix, out
+
+    monkeypatch.setattr(search, "extension_state", state_spy)
+    monkeypatch.setattr(search, "_extend_representative", extend_spy)
+    levels = _generate_levels(r, p.c, sizes=p.sizes, classes=p.sizes, target=r - 1)
+    assert checked == {m: len(levels[m]) for m in range(1, r)}
+
+
 @pytest.mark.parametrize(
     "sizes,count,guard",
     [((2,) * 6, 12, 8), ((2,) * 7, 56, 9), ((4, 4, 2), 4, 11)],
@@ -286,6 +336,28 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
     serial = _generate_levels(8, p.c, sizes=p.sizes, classes=p.sizes)
     assert _generate_levels(8, p.c, sizes=p.sizes, classes=p.sizes, jobs=1000) == serial
     assert sizes and set(sizes) == {2}
+
+
+def test_a_real_pool_gives_the_serial_levels(monkeypatch):
+    # verify's search at (3,3,2) has levels of 5, 15, 72, 35 and 6 words, so
+    # two real worker processes extend them: each word's parent prefix state
+    # is pickled to a worker and back, and each worker starts an empty table
+    import concurrent.futures
+
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr("matching_ramsey.search.os.cpu_count", lambda: 2)
+    p = MatchParams((3, 3, 2))
+    r = ramsey_value(p)
+    serial = _generate_levels(r, p.c, sizes=p.sizes, classes=p.sizes, target=r - 1)
+    assert _generate_levels(r, p.c, sizes=p.sizes, classes=p.sizes, target=r - 1, jobs=2) == serial
+    assert pools == [2] * 5
 
 
 @pytest.mark.parametrize(
