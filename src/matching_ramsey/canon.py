@@ -151,12 +151,12 @@ def is_canonical(word, n: int, classes: tuple[int, ...], prefix: Prefix | None =
     """
     if n < 2:
         return True
-    targets = [word[k * (k - 1) // 2 : k * (k + 1) // 2] for k in range(n)]
+    cut = (n - 1) * (n - 2) // 2
     if prefix is None:
-        prefix = Prefix(word[: (n - 1) * (n - 2) // 2], n - 1, classes)
+        prefix = Prefix(word[:cut], n - 1, classes)
     # Swapping two twins is an automorphism of the word, so only the first
     # unplaced vertex of each twin class is tried at each position.
-    colors, twin_classes = prefix.joined(targets[-1])
+    colors, twin_classes = prefix.joined(word[cut:])
     members = prefix.members
     # The greedy color mapping and the twin rule both take the first unused
     # member of a class, so one counter per class is the whole state.
@@ -170,7 +170,8 @@ def is_canonical(word, n: int, classes: tuple[int, ...], prefix: Prefix | None =
         give an image word smaller than ``word``?"""
         if k == n:
             return False
-        target = targets[k]
+        # block k of the word: zip stops at the k placed vertices
+        target = colors[k]
         for j, twins in enumerate(twin_classes):
             i = used_twins[j]
             if i == len(twins):

@@ -31,9 +31,6 @@ class Matching:
     def size(self) -> int:
         return len(self.edges)
 
-    def covered(self) -> frozenset[int]:
-        return frozenset(v for e in self.edges for v in e)
-
 
 def is_valid_matching(g: Graph, m: Matching) -> bool:
     """Every pair is an edge of ``g`` and no vertex is used twice."""

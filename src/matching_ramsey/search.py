@@ -37,19 +37,16 @@ whose full word is again canonical.  Five prunes keep the tree small:
 * no dead vertex, when exactly one order is missing: by the same lemma one
   order up, the K_{m+1} word has no free one-vertex extension exactly when
   every class is tight and some vertex lies in every class's D, for then
-  no color may join that vertex to a new one.  Each class's new D is read
-  off one alternating forest of its kept maximum matching, augmented from
-  the new vertex when the row raises nu_i.  No Ramsey value is used; a row
-  that leaves every class tight fails the lookahead at t = 2 anyway;
+  no color may join that vertex to a new one.  Each class's new D is one
+  step of the search state's growth (``_grown``).  No Ramsey value is
+  used; a row that leaves every class tight fails the lookahead at t = 2
+  anyway;
 * candidate extensions that are not lex-minimal in their orbit are discarded
   (and with them their entire subtree, since canonicity is prefix-inherited).
 
-The state these prunes read is built once per search.  One table maps each
-class graph to a maximum matching and its D; a class graph met again, by
-another representative or one order up after the dead-vertex test grew it,
-is not matched again, and the table forgets each order once it is
-extended.  The prefix state of ``canon.Prefix`` travels with the words:
-each representative's state is its parent's plus one row.
+The state these prunes read grows with the words.  Each word travels to
+the next level with its parent's state, a ``canon.Prefix`` and per class a
+maximum matching and its D, and its own state is that plus its last block.
 
 With a target, the levels below it keep only the classes that pass the
 row filters, and the levels from the target on are complete.
@@ -64,9 +61,9 @@ Canonicity is decided by a backtracking search, so no order limit comes
 from the canonicity test; the order guard bounds the running time.
 
 Work distribution splits a level's representatives across worker processes,
-at most one per CPU, each with its parent's prefix state and an empty table;
-representative order is preserved when merging, so reports are byte-for-byte
-deterministic regardless of the worker count.
+at most one per CPU, each word with its parent's state; representative order
+is preserved when merging, so reports are byte-for-byte deterministic
+regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -80,7 +77,7 @@ from typing import Callable, NamedTuple
 from .canon import Prefix, edge_list, is_canonical
 from .coloring import EdgeColoring, MatchParams, StructureWitness, find_structure, is_free
 from .graph import Graph, bits, complete_graph, graph_from_edges, is_connected
-from .matching import _augment, _matching_on_masks, _mate_size, forest_d
+from .matching import _augment, _mate_size, forest_d
 
 DEFAULT_ORDER_GUARD = 8
 
@@ -139,27 +136,57 @@ class SearchReport:
 # ---------------------------------------------------------------------------
 
 
-# A class graph's adjacency masks -> a maximum matching of it and its D.  One
-# table serves one search, so each class graph's state is built once.
-Table = dict[tuple[int, ...], tuple[list[int], int]]
-
-
 class Extension(NamedTuple):
     """What the rows to a new vertex over a free K_m word share."""
 
     allowed: list[list[int]]  # per vertex u: the colors its edge to the new vertex may take
     slack: list[int]  # per class i: n_i - 1 - nu_i
     in_d: list[int]  # per vertex u: the mask of the classes whose D contains u
-    masks: list[list[int]]  # per class: its adjacency masks on the word
-    mates: list[list[int]]  # per class: a maximum matching as a mate array
+    # per class: its adjacency masks, a maximum matching as a mate array, and D
+    states: list[tuple[list[int], list[int], int]]
+
+
+def _grown(state: tuple, nbrs: int) -> tuple[list[int], list[int], int]:
+    """A class's (masks, matching, D) once a new vertex x joins it with
+    the neighbour mask ``nbrs``: one alternating search from x.
+
+    If the search augments the kept matching M, M is maximum again and D is
+    read off a fresh forest.  Otherwise M stays maximum and D gains exactly
+    the outer vertices of x's tree.  Proof: x is exposed, so an alternating
+    path meets it only as an end; an augmenting path avoiding x would be
+    one of the old graph, and the search finds those ending at x.  D is the
+    set of vertices an even alternating path from an exposed vertex reaches
+    (Edmonds).  From an exposed y != x such a path cannot end at x, for it
+    would augment; so it lies in the old graph, and these paths give the
+    old D.  From x they reach the outer vertices of its tree.  A class x
+    does not touch just gains x.
+    """
+    masks, mate, d = state
+    x = len(masks)
+    if not nbrs:
+        return masks + [0], mate + [-1], d | 1 << x
+    rows = [r | (nbrs >> u & 1) << x for u, r in enumerate(masks)] + [nbrs]
+    match = mate + [-1]
+    outer = _augment(rows, x + 1, match, [x])
+    if outer is None:
+        return rows, match, forest_d(rows, x + 1, match)
+    return rows, match, d | sum(1 << v for v, o in enumerate(outer) if o)
+
+
+def _neighbours(block, c: int) -> list[int]:
+    """Per color: the mask of the vertices a new vertex with colors ``block`` sees in it."""
+    nbrs = [0] * c
+    for u, col in enumerate(block):
+        nbrs[col] |= 1 << u
+    return nbrs
 
 
 def extension_state(
-    word: bytes, m: int, sizes: tuple[int, ...], table: Table | None = None
+    word: bytes, m: int, sizes: tuple[int, ...], parent: Extension | None = None
 ) -> Extension:
-    """The :class:`Extension` of a free K_m word, from one maximum matching
-    per color class and the D read off its alternating forest; a class
-    graph ``table`` already holds is not matched again.
+    """The :class:`Extension` of a free K_m word: one :func:`_grown` step
+    per class and block, from K_0, or from ``parent``, the Extension of a
+    prefix of the word.
 
     Lemma (Gallai-Edmonds; proved in :mod:`matching_ramsey.star`): joining a
     new vertex to a set S raises nu(G) exactly when S meets D(G).  So a row
@@ -169,26 +196,17 @@ def extension_state(
     free exactly when each of its edges is allowed on its own.  A class with
     n_i = 1 is tight with D every vertex, so its color is barred everywhere.
     """
-    if table is None:
-        table = {}
-    rows = [[0] * m for _ in sizes]
-    for col, (u, v) in zip(word, edge_list(m)):
-        rows[col][u] |= 1 << v
-        rows[col][v] |= 1 << u
-    slack, in_d, mates = [], [0] * m, []
-    for i, (r, s) in enumerate(zip(rows, sizes)):
-        key = tuple(r)
-        state = table.get(key)
-        if state is None:
-            match = _matching_on_masks(r, m)
-            state = table[key] = match, forest_d(r, m, match)
-        match, d = state
-        slack.append(s - 1 - _mate_size(match))
+    states = [([], [], 0)] * len(sizes) if parent is None else parent.states
+    for k in range(len(states[0][0]), m):
+        nbrs = _neighbours(word[k * (k - 1) // 2 : k * (k + 1) // 2], len(sizes))
+        states = [_grown(state, b) for state, b in zip(states, nbrs)]
+    slack, in_d = [], [0] * m
+    for i, ((_, mate, d), s) in enumerate(zip(states, sizes)):
+        slack.append(s - 1 - _mate_size(mate))
         for u in bits(d):
             in_d[u] |= 1 << i
-        mates.append(match)
     allowed = [[i for i, s in enumerate(slack) if s or not d >> i & 1] for d in in_d]
-    return Extension(allowed, slack, in_d, rows, mates)
+    return Extension(allowed, slack, in_d, states)
 
 
 def _raised(in_d: list[int], row: bytes) -> int:
@@ -232,46 +250,32 @@ def _lookahead(ext: Extension, more: int) -> Callable[[bytes], bool]:
     return keep
 
 
-def _extendable(
-    ext: Extension, m: int, table: Table | None = None
-) -> Callable[[bytes], bool] | None:
+def _extendable(ext: Extension, m: int) -> Callable[[bytes], bool] | None:
     """Row filter: does the word keep a free one-vertex extension after ``row``?
 
     It has none exactly when some vertex admits no color, that is, when
     every class is tight and some vertex lies in every class's D (the rule
     of :func:`extension_state`, one order up).  A row leaves every class
     tight exactly when it raises nu_i for each class with slack 1 and no
-    slack is larger; None means that no row can.  For such a row, the new
-    vertex x is exposed in each kept matching, and where the row raises
-    nu_i one augmentation from x makes the matching maximum again; the new
-    D is read off its forest.  Both go into ``table``, where the next
-    order's :func:`extension_state` finds them.
+    slack is larger; None means that no row can.  For such a row each
+    class's new D is one :func:`_grown` step, kept per class and neighbour
+    mask.
     """
     if any(s > 1 for s in ext.slack):
         return None
-    if table is None:
-        table = {}
     ones = sum(1 << i for i, s in enumerate(ext.slack) if s)
     everyone = (1 << (m + 1)) - 1
+    grown: dict[tuple[int, int], int] = {}
 
     def keep(row: bytes) -> bool:
-        hit = _raised(ext.in_d, row)
-        if hit != ones:
+        if _raised(ext.in_d, row) != ones:
             return True
-        grown = [r + [0] for r in ext.masks]
-        for u, col in enumerate(row):
-            grown[col][u] |= 1 << m
-            grown[col][m] |= 1 << u
         dead = everyone
-        for i, (g, mate) in enumerate(zip(grown, ext.mates)):
-            key = tuple(g)
-            state = table.get(key)
-            if state is None:
-                match = mate + [-1]
-                if hit >> i & 1:
-                    _augment(g, m + 1, match, [m])
-                state = table[key] = match, forest_d(g, m + 1, match)
-            dead &= state[1]
+        for key in enumerate(_neighbours(row, len(ext.states))):
+            d = grown.get(key)
+            if d is None:
+                d = grown[key] = _grown(ext.states[key[0]], key[1])[2]
+            dead &= d
             if not dead:
                 return True
         return False
@@ -280,42 +284,40 @@ def _extendable(
 
 
 def _extend_representative(
-    rep: tuple[Prefix, bytes],
+    rep: tuple[tuple[Prefix, Extension | None], bytes],
     m: int,
     c: int,
     classes: tuple[int, ...],
     sizes: tuple[int, ...] | None,
     target: int | None = None,
-    table: Table | None = None,
-) -> tuple[Prefix | None, list[bytes]]:
-    """Canonical words of K_{m+1} whose K_m prefix is ``word``, where
-    ``rep`` is the word's parent's :class:`Prefix` and the word.
+) -> tuple[tuple[Prefix, Extension | None] | None, list[bytes]]:
+    """Canonical words of K_{m+1} whose K_m prefix is ``word``; ``rep`` is
+    the word with its parent's state, a :class:`Prefix` and, with
+    ``sizes``, an :class:`Extension`.  The word's own state is its parent's
+    plus its last block, and comes back with the words when there are any.
 
     With ``sizes`` given, each edge to the new vertex ranges over the
     allowed colors of :func:`extension_state`, so every candidate row is
     free; otherwise over all ``c`` colors.  Rows come in lexicographic
-    order.  The word's own prefix state, its parent's plus one row, drops
-    the rows a symmetry of the word makes smaller; the canonicity test
-    extends it by each remaining row.  With ``target`` given, one filter
-    runs between the two: it drops rows after which the word cannot reach
-    ``target`` while two or more orders are missing, or has no free
-    extension when one is.  ``table`` is the search's table of class graph
-    states.  The prefix state comes back with the words when there are any,
-    for their own extension.
+    order.  The prefix state drops the rows a symmetry of the word makes
+    smaller; the canonicity test extends it by each remaining row.  With
+    ``target`` given, one filter runs between the two: it drops rows after
+    which the word cannot reach ``target`` while two or more orders are
+    missing, or has no free extension when one is.
     """
-    parent, word = rep
+    (parent, parent_ext), word = rep
     prefix = parent.child(word[(m - 1) * (m - 2) // 2 :])
-    keep = None
+    ext = keep = None
     if sizes is None:
         rows = map(bytes, product(range(c), repeat=m))
     else:
-        ext = extension_state(word, m, sizes, table)
+        ext = extension_state(word, m, sizes, parent_ext)
         rows = map(bytes, product(*ext.allowed))
         more = 0 if target is None else target - m - 1
         if more >= 2:
             keep = _lookahead(ext, more)
         elif more == 1:
-            keep = _extendable(ext, m, table)
+            keep = _extendable(ext, m)
     out = []
     for row in rows:
         if prefix.has_smaller_swap(row) or (keep is not None and not keep(row)):
@@ -323,7 +325,7 @@ def _extend_representative(
         cand = word + row
         if is_canonical(cand, m + 1, classes, prefix):
             out.append(cand)
-    return (prefix if out else None), out
+    return ((prefix, ext) if out else None), out
 
 
 def _generate_levels(
@@ -345,23 +347,19 @@ def _generate_levels(
     only those that pass the row filters for order ``target``, so the
     lists are complete from order ``target`` on.
 
-    The search state is built once.  One :data:`Table` holds the class
-    graphs of the order being extended and the next; worker processes start
-    from an empty one.  Each word of the level being extended travels with
-    its parent's :class:`Prefix`, which only representatives with children
-    pass on.
+    Each word of the level being extended travels, also to a worker
+    process, with its parent's state, which only representatives with
+    children pass on.
     """
     levels: list[list[bytes]] = [[b""], [b""]][: n + 1]  # K_0 and K_1: no edges
-    reps = [(Prefix(b"", 0, classes), b"")]  # levels[m], each word with its parent's state
-    table: Table = {}
+    root = Prefix(b"", 0, classes), None if sizes is None else extension_state(b"", 0, sizes)
+    reps = [(root, b"")]  # levels[m], each word with its parent's state
     workers = min(jobs, os.cpu_count() or 1)
     for m in range(1, n):
-        pooled = workers > 1 and len(reps) > 2 * workers
         extend = partial(
-            _extend_representative, m=m, c=c, classes=classes, sizes=sizes, target=target,
-            table={} if pooled else table,
+            _extend_representative, m=m, c=c, classes=classes, sizes=sizes, target=target
         )
-        if pooled:
+        if workers > 1 and len(reps) > 2 * workers:
             from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
             chunksize = max(1, len(reps) // (4 * workers))
@@ -369,10 +367,9 @@ def _generate_levels(
                 results = list(pool.map(extend, reps, chunksize=chunksize))
         else:
             results = list(map(extend, reps))
-        reps = [(prefix, w) for prefix, sub in results for w in sub]
+        reps = [(state, w) for state, sub in results for w in sub]
         nxt = [w for _, w in reps]
         levels.append(nxt)
-        table = {key: state for key, state in table.items() if len(key) > m}
         if progress is not None:
             progress(m + 1, len(nxt))
     return levels
@@ -388,6 +385,8 @@ def _word_from_coloring(ec: EdgeColoring) -> bytes:
 
 
 def _check_guard(order: int, guard: int) -> None:
+    if order < 0:
+        raise ValueError(f"order {order} is negative")
     if order > guard:
         raise ValueError(
             f"order {order} exceeds the enumeration guard {guard}; "

@@ -21,14 +21,16 @@ from matching_ramsey import (
     verify_ramsey_exhaustive,
 )
 from matching_ramsey import search
-from matching_ramsey.canon import Prefix, canonical_form
-from matching_ramsey.matching import matching_number
+from matching_ramsey.canon import Prefix, canonical_form, edge_list
+from matching_ramsey.graph import Graph
+from matching_ramsey.matching import _matching_on_masks, matching_number, missed_mask
 from matching_ramsey.search import (
     _can_reach,
     _coloring_from_word,
     _ex,
     _extendable,
     _generate_levels,
+    _grown,
     _word_from_coloring,
     extension_state,
 )
@@ -245,50 +247,102 @@ def test_dead_vertex_rule_is_exact(sizes):
 PREFIX_FIELDS = ("rows", "twins", "twin_pairs", "free")
 
 
+def assert_state_is_the_definition(ext, word, m, sizes):
+    # per class: the masks of the word's class graph, a maximum matching of
+    # it, and D = missed_mask; then the slacks, D rows and allowed colors
+    masks = [[0] * m for _ in sizes]
+    for col, (u, v) in zip(word, edge_list(m)):
+        masks[col][u] |= 1 << v
+        masks[col][v] |= 1 << u
+    assert [state[0] for state in ext.states] == masks, word
+    for i, (n_i, (rows, mate, d)) in enumerate(zip(sizes, ext.states)):
+        nu = matching_number(Graph(m, tuple(rows)))
+        assert len(mate) == m
+        assert all(v < 0 or mate[v] == u and rows[u] >> v & 1 for u, v in enumerate(mate))
+        assert sum(v >= 0 for v in mate) == 2 * nu
+        assert d == missed_mask(rows, m, nu), (word, i)
+        assert ext.slack[i] == n_i - 1 - nu
+    assert ext.in_d == [
+        sum(1 << i for i, state in enumerate(ext.states) if state[2] >> u & 1) for u in range(m)
+    ]
+    assert ext.allowed == [[i for i, s in enumerate(ext.slack) if s or not d >> i & 1] for d in ext.in_d]
+
+
 @pytest.mark.parametrize("sizes", [(3, 3, 2), (2, 2, 2, 2, 2), (4, 3), (3, 2, 2)])
 def test_reused_search_state_is_the_fresh_state(monkeypatch, sizes):
-    # every representative verify's search extends: the Gallai-Edmonds data
-    # it reads from the search's table and the prefix states carried from
-    # its parent equal those rebuilt from its word alone, and the dead-vertex
-    # filter with the search's table keeps exactly the rows whose grown word
-    # leaves every vertex a color
+    # every representative verify's search extends: the state carried from
+    # its parent, and the state it passes on, equal the definition from the
+    # word alone; and at the dead-vertex level the filter keeps exactly the
+    # rows whose grown word leaves every vertex a color
     p = MatchParams(sizes)
     r = ramsey_value(p)
-    states = {}
-
-    def state_spy(word, m, sizes, table=None):
-        states[word] = extension_state(word, m, sizes, table)
-        return states[word]
-
     real_extend = search._extend_representative
     checked = {}
 
     def extend_spy(rep, m, **kw):
-        prefix, out = real_extend(rep, m, **kw)
+        state, out = real_extend(rep, m, **kw)
         parent, word = rep
-        carried = [(parent, Prefix(word[: (m - 1) * (m - 2) // 2], m - 1, p.sizes))]
-        if prefix is not None:
-            carried.append((prefix, Prefix(word, m, p.sizes)))
-        for got, want in carried:
-            assert [getattr(got, f) for f in PREFIX_FIELDS] == [getattr(want, f) for f in PREFIX_FIELDS]
-        ext, want = states.pop(word), extension_state(word, m, p.sizes)
-        assert (ext.allowed, ext.slack, ext.in_d) == (want.allowed, want.slack, want.in_d), word
-        for n_i, s, masks, mate in zip(p.sizes, want.slack, ext.masks, ext.mates):
-            # a matching of the class graph, as large as a fresh maximum one
-            assert len(mate) == m
-            assert all(v < 0 or mate[v] == u and masks[u] >> v & 1 for u, v in enumerate(mate))
-            assert sum(v >= 0 for v in mate) // 2 == n_i - 1 - s
+        carried = [(parent, word[: (m - 1) * (m - 2) // 2], m - 1)]
+        if state is not None:
+            carried.append((state, word, m))
+        for (prefix, ext), w, k in carried:
+            want = Prefix(w, k, p.sizes)
+            assert [getattr(prefix, f) for f in PREFIX_FIELDS] == [getattr(want, f) for f in PREFIX_FIELDS]
+            assert_state_is_the_definition(ext, w, k, p.sizes)
+        ext = extension_state(word, m, p.sizes)
+        assert_state_is_the_definition(ext, word, m, p.sizes)
         if kw["target"] - m - 1 == 1:
-            keep = _extendable(ext, m, kw["table"])
+            keep = _extendable(ext, m)
             for row in map(bytes, product(*ext.allowed)):
                 assert (keep is None or keep(row)) == all(extension_state(word + row, m + 1, p.sizes).allowed)
         checked[m] = checked.get(m, 0) + 1
-        return prefix, out
+        return state, out
 
-    monkeypatch.setattr(search, "extension_state", state_spy)
     monkeypatch.setattr(search, "_extend_representative", extend_spy)
     levels = _generate_levels(r, p.c, sizes=p.sizes, classes=p.sizes, target=r - 1)
     assert checked == {m: len(levels[m]) for m in range(1, r)}
+
+
+def test_one_vertex_growth_is_the_definition():
+    # every graph of order <= 7, each vertex x in turn as the new one: grow
+    # the state of the rest (a maximum matching and its D) by x, and the
+    # result must be a maximum matching and the D of the whole graph
+    cases = 0
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            for x in range(n):
+                # swap x and the last vertex, so that x joins last
+                perm = list(range(n))
+                perm[x], perm[-1] = n - 1, x
+                rows = [0] * n
+                for u, v in g.edges():
+                    rows[perm[u]] |= 1 << perm[v]
+                    rows[perm[v]] |= 1 << perm[u]
+                rest = [row & ~(1 << (n - 1)) for row in rows[:-1]]
+                rest_nu = matching_number(Graph(n - 1, tuple(rest)))
+                mate = _matching_on_masks(rest, n - 1)
+                masks, match, d = _grown((rest, mate, missed_mask(rest, n - 1, rest_nu)), rows[-1])
+                nu = matching_number(g)
+                assert masks == rows
+                assert all(v < 0 or match[v] == u and rows[u] >> v & 1 for u, v in enumerate(match))
+                assert sum(v >= 0 for v in match) == 2 * nu
+                assert d == missed_mask(rows, n, nu), (g, x)
+                cases += 1
+    assert cases == 8475
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: enumerate_graphs(-1),
+        lambda: enumerate_colorings(-2, 2),
+        lambda: free_coloring_classes(MatchParams((2, 2)), -1),
+    ],
+    ids=["graphs", "colorings", "free-classes"],
+)
+def test_a_negative_order_is_rejected(call):
+    with pytest.raises(ValueError, match="negative"):
+        call()
 
 
 @pytest.mark.parametrize(
@@ -340,8 +394,9 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
 
 def test_a_real_pool_gives_the_serial_levels(monkeypatch):
     # verify's search at (3,3,2) has levels of 5, 15, 72, 35 and 6 words, so
-    # two real worker processes extend them: each word's parent prefix state
-    # is pickled to a worker and back, and each worker starts an empty table
+    # two real worker processes extend them: each word's parent state, its
+    # prefix state and per class a matching and D, is pickled to a worker,
+    # and each word's own state comes back
     import concurrent.futures
 
     pools = []
