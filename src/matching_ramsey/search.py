@@ -15,32 +15,25 @@ word extending it, and the canonical (lex-min) word of a class always
 truncates to a canonical word.  The engine therefore keeps one canonical
 representative per class of K_m colorings and, per level, colors the m
 edges to a new vertex in every allowed way, keeping exactly the extensions
-whose full word is again canonical.  Five prunes keep the tree small:
+whose full word is again canonical.  Four prunes keep the tree small:
 
 * freeness: by the Gallai-Edmonds lemma a free representative fixes, once,
   the colors each edge to the new vertex may take (``extension_state``),
   and the rows are the product of those choices, so every candidate is free;
-* lookahead to a target order T: let s_i = n_i - 1 - nu_i be the slack of
-  class i in a free K_{m+1} word.  If the word extends to a free coloring
-  of K_T, any t of the T - m - 1 new vertices span a K_t, and a color-i
-  matching inside that K_t is vertex-disjoint from one inside the word, so
-  together they form a matching: class i of the K_t has nu <= s_i, hence
-  at most ex(t, s_i) edges, the Erdos-Gallai maximum (Acta Math. Acad. Sci.
-  Hungar. 10, 1959).  While two or more orders are missing, a row is
-  dropped when C(t, 2) > sum_i ex(t, s_i) for some 2 <= t <= T - m - 1.
-  Its slacks come free from the same lemma: the row raises nu_i exactly
-  when it uses color i at a vertex of D_i.  The bound uses no Ramsey value,
-  so nothing it prunes assumes what the search proves;
 * symmetry of the representative: a row that swapping two of its twins, or
   two same-class colors it never uses, makes smaller is dropped without a
   canonicity test (``canon.Prefix.has_smaller_swap``);
-* no dead vertex, when exactly one order is missing: by the same lemma one
-  order up, the K_{m+1} word has no free one-vertex extension exactly when
-  every class is tight and some vertex lies in every class's D, for then
-  no color may join that vertex to a new one.  Each class's new D is one
-  step of the search state's growth (``_grown``).  No Ramsey value is
-  used; a row that leaves every class tight fails the lookahead at t = 2
-  anyway;
+* one row filter toward a target order T, while the word plus its row, W,
+  misses more = T - m - 1 >= 1 vertices (``_extendable``).  With
+  s_i = n_i - 1 - nu_i the slacks of W (a row raises nu_i exactly when it
+  uses color i at a vertex of D_i), the row is dropped when
+  C(t, 2) > sum_i ex(t, s_i) for some 2 <= t <= more (ex is the Erdos-Gallai
+  maximum, Acta Math. Acad. Sci. Hungar. 10, 1959), or when some vertex lies
+  in every class's D and each class i has s_i = 0 or, for some such t,
+  C(t, 2) > sum_{j != i} ex(t, s_j) + ex(t - 1, s_i - 1) + t - 1.  With one
+  vertex missing the second test is exact: W has no free one-vertex
+  extension.  No Ramsey value and not the structure theorem is used, so
+  nothing the filter prunes assumes what the search proves;
 * candidate extensions that are not lex-minimal in their orbit are discarded
   (and with them their entire subtree, since canonicity is prefix-inherited).
 
@@ -49,7 +42,7 @@ the next level with its parent's state, a ``canon.Prefix`` and per class a
 maximum matching and its D, and its own state is that plus its last block.
 
 With a target, the levels below it keep only the classes that pass the
-row filters, and the levels from the target on are complete.
+row filter, and the levels from the target on are complete.
 ``verify_ramsey_exhaustive`` therefore targets r - 1, not r: the critical
 classes cannot reach order r, so a target of r could prune them away, and
 order r is the plain extension of the complete critical level.
@@ -191,7 +184,8 @@ def extension_state(
     Lemma (Gallai-Edmonds; proved in :mod:`matching_ramsey.star`): joining a
     new vertex to a set S raises nu(G) exactly when S meets D(G).  So a row
     raises nu_i by one exactly when it uses color i at a vertex of D_i.  The
-    word is free, so every slack is >= 0; color i is barred at u exactly
+    matchings are maximum, so a free word has every slack >= 0, and a
+    negative one raises RuntimeError.  Color i is barred at u exactly
     when class i is tight (slack 0) and u lies in its D, and a whole row is
     free exactly when each of its edges is allowed on its own.  A class with
     n_i = 1 is tight with D every vertex, so its color is barred everywhere.
@@ -205,6 +199,8 @@ def extension_state(
         slack.append(s - 1 - _mate_size(mate))
         for u in bits(d):
             in_d[u] |= 1 << i
+    if min(slack, default=0) < 0:
+        raise RuntimeError("a non-free word reached the search")
     allowed = [[i for i, s in enumerate(slack) if s or not d >> i & 1] for d in in_d]
     return Extension(allowed, slack, in_d, states)
 
@@ -231,45 +227,49 @@ def _can_reach(slack: list[int], more: int) -> bool:
     return all(t * (t - 1) // 2 <= sum(_ex(t, s) for s in slack) for t in range(2, more + 1))
 
 
-def _lookahead(ext: Extension, more: int) -> Callable[[bytes], bool]:
+def _can_hit(slack: list[int], more: int) -> bool:
+    """Can a free word with these slacks gain ``more`` vertices if one of
+    them, x, joins a vertex u that lies in every class's D?
+
+    Let i be the color of xu.  As u is in D_i, slack_i >= 1, and a maximum
+    matching of class i that misses u, the edge xu and a color-i matching
+    among the other new vertices form one matching.  So class i has
+    nu <= slack_i - 1 on t - 1 of the new vertices, and at most t - 1 edges
+    at x; every other class is bounded as in :func:`_can_reach`.
+    """
+    return any(
+        s and all(
+            t * (t - 1) // 2
+            <= sum(_ex(t, x) for x in slack) - _ex(t, s) + _ex(t - 1, s - 1) + t - 1
+            for t in range(2, more + 1)
+        )
+        for s in slack
+    )
+
+
+def _extendable(ext: Extension, m: int, more: int = 1) -> Callable[[bytes], bool]:
     """Row filter: can the word still gain ``more`` vertices after ``row``?
 
     A row lowers slack_i by one exactly when it uses color i in D_i, so the
-    verdict depends only on that set of classes and is kept per set.
+    verdicts of :func:`_can_reach` and :func:`_can_hit` are kept per set of
+    raised classes.  A row that passes the first and fails the second is
+    dropped exactly when some vertex lies in every class's new D, each one
+    :func:`_grown` step, kept per class and neighbour mask.  With one vertex
+    missing this is exact: the word then has no free one-vertex extension
+    (the rule of :func:`extension_state`, one order up).
     """
-    verdicts: dict[int, bool] = {}
+    verdicts: dict[int, bool | None] = {}
+    grown: dict[tuple[int, int], int] = {}
+    everyone = (1 << (m + 1)) - 1
 
     def keep(row: bytes) -> bool:
         hit = _raised(ext.in_d, row)
-        ok = verdicts.get(hit)
-        if ok is None:
+        if hit not in verdicts:
             slack = [s - (hit >> i & 1) for i, s in enumerate(ext.slack)]
-            ok = verdicts[hit] = _can_reach(slack, more)
-        return ok
-
-    return keep
-
-
-def _extendable(ext: Extension, m: int) -> Callable[[bytes], bool] | None:
-    """Row filter: does the word keep a free one-vertex extension after ``row``?
-
-    It has none exactly when some vertex admits no color, that is, when
-    every class is tight and some vertex lies in every class's D (the rule
-    of :func:`extension_state`, one order up).  A row leaves every class
-    tight exactly when it raises nu_i for each class with slack 1 and no
-    slack is larger; None means that no row can.  For such a row each
-    class's new D is one :func:`_grown` step, kept per class and neighbour
-    mask.
-    """
-    if any(s > 1 for s in ext.slack):
-        return None
-    ones = sum(1 << i for i, s in enumerate(ext.slack) if s)
-    everyone = (1 << (m + 1)) - 1
-    grown: dict[tuple[int, int], int] = {}
-
-    def keep(row: bytes) -> bool:
-        if _raised(ext.in_d, row) != ones:
-            return True
+            # True keeps the row, False drops it, None leaves it to the new D sets
+            verdicts[hit] = _can_reach(slack, more) and (_can_hit(slack, more) or None)
+        if verdicts[hit] is not None:
+            return verdicts[hit]
         dead = everyone
         for key in enumerate(_neighbours(row, len(ext.states))):
             d = grown.get(key)
@@ -300,10 +300,9 @@ def _extend_representative(
     allowed colors of :func:`extension_state`, so every candidate row is
     free; otherwise over all ``c`` colors.  Rows come in lexicographic
     order.  The prefix state drops the rows a symmetry of the word makes
-    smaller; the canonicity test extends it by each remaining row.  With
-    ``target`` given, one filter runs between the two: it drops rows after
-    which the word cannot reach ``target`` while two or more orders are
-    missing, or has no free extension when one is.
+    smaller; the canonicity test extends it by each remaining row.  While
+    ``target`` is one or more orders away, the row filter of
+    :func:`_extendable` runs between the two.
     """
     (parent, parent_ext), word = rep
     prefix = parent.child(word[(m - 1) * (m - 2) // 2 :])
@@ -313,11 +312,8 @@ def _extend_representative(
     else:
         ext = extension_state(word, m, sizes, parent_ext)
         rows = map(bytes, product(*ext.allowed))
-        more = 0 if target is None else target - m - 1
-        if more >= 2:
-            keep = _lookahead(ext, more)
-        elif more == 1:
-            keep = _extendable(ext, m)
+        if target is not None and target > m + 1:
+            keep = _extendable(ext, m, target - m - 1)
     out = []
     for row in rows:
         if prefix.has_smaller_swap(row) or (keep is not None and not keep(row)):
@@ -344,7 +340,7 @@ def _generate_levels(
     lexicographic order, under vertex permutations and the color
     permutations that keep each color inside its ``classes`` label.  With
     ``sizes`` set, only free colorings survive; with ``target`` set as well,
-    only those that pass the row filters for order ``target``, so the
+    only those that pass the row filter for order ``target``, so the
     lists are complete from order ``target`` on.
 
     Each word of the level being extended travels, also to a worker

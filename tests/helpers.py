@@ -13,6 +13,10 @@ The brute-force structure oracle tries every vertex subset of the right
 size as V_1, independently of the forced-V_1 argument of
 ``matching_ramsey.find_structure``.
 
+``min_image`` computes an orbit minimum by its own backtracking search,
+without ``matching_ramsey.canon``, for orders the brute-force
+``canonical_form`` cannot reach.
+
 Tests decorated with :func:`slow`, and cases given by :func:`slow_param`,
 are too slow for tier-1; they run only with ``MATCHING_RAMSEY_SLOW=1``
 (select them alone with ``-m slow``).
@@ -86,6 +90,53 @@ def naive_orbit_reps(n: int, c: int, params: MatchParams | None = None, free_onl
 
 def coloring_word(ec: EdgeColoring) -> bytes:
     return bytes(col - 1 for col in ec.colors)
+
+
+def min_image(word, n: int, classes: tuple[int, ...]) -> bytes:
+    """The lexicographic minimum of the orbit of the K_n ``word`` (colex
+    edge order), under vertex permutations and the color permutations that
+    keep each color in its ``classes`` label.
+
+    The image is built one vertex at a time; a color met for the first time
+    maps to the least unused color of its label, and a branch whose image
+    is larger than the least one found so far is dropped.  Of the unplaced
+    twins (same color to every other vertex) only one is tried.
+    """
+    color = [[-1] * n for _ in range(n)]
+    for (u, v), a in zip(((u, v) for v in range(n) for u in range(v)), word):
+        color[u][v] = color[v][u] = a
+    best = [bytes(word)]
+
+    def twins(v, w):
+        return all(color[v][x] == color[w][x] for x in range(n) if x not in (v, w))
+
+    def place(placed, image, mapped):
+        if image > best[0][: len(image)]:
+            return
+        if len(placed) == n:
+            best[0] = image
+            return
+        tried = []
+        for v in range(n):
+            if v in placed or any(twins(v, w) for w in tried):
+                continue
+            tried.append(v)
+            cmap = dict(mapped)
+            for u in placed:
+                a = color[u][v]
+                if a not in cmap:
+                    cmap[a] = min(b for b, label in enumerate(classes)
+                                  if label == classes[a] and b not in cmap.values())
+            place(placed + [v], image + bytes(cmap[color[u][v]] for u in placed), cmap)
+
+    place([], b"", {})
+    return best[0]
+
+
+def deleted(word, n: int, v: int) -> bytes:
+    """The K_{n-1} word left when vertex v leaves the K_n ``word``."""
+    edges = ((a, b) for b in range(n) for a in range(b))
+    return bytes(col for (a, b), col in zip(edges, word) if v not in (a, b))
 
 
 def free_spoke_configs(base: EdgeColoring, p: MatchParams, k: int):

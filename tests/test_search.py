@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import product
@@ -35,7 +36,7 @@ from matching_ramsey.search import (
     extension_state,
 )
 
-from helpers import coloring_word, naive_orbit_reps, slow, slow_param
+from helpers import coloring_word, deleted, min_image, naive_orbit_reps, slow, slow_param
 
 
 def test_ramsey_value_table():
@@ -164,16 +165,16 @@ def test_free_class_counts_per_level(sizes, counts):
 @pytest.mark.parametrize(
     "sizes,counts",
     [
-        ((3, 3, 2), [1, 1, 2, 5, 15, 72, 35, 6, 3, 0]),
+        ((3, 3, 2), [1, 1, 2, 5, 15, 35, 35, 6, 3, 0]),
         ((2, 2, 2, 2, 2), [1, 1, 1, 3, 8, 11, 6, 4, 0]),
-        ((4, 3), [1, 1, 2, 4, 6, 11, 13, 9, 2, 1, 0]),
-        ((3, 2, 2), [1, 1, 2, 5, 12, 9, 2, 1, 0]),
-        ((4, 3, 2), [1, 1, 3, 9, 28, 73, 77, 337, 51, 6, 3, 0]),
+        ((4, 3), [1, 1, 2, 4, 6, 11, 9, 9, 2, 1, 0]),
+        ((3, 2, 2), [1, 1, 2, 5, 9, 9, 2, 1, 0]),
+        ((4, 3, 2), [1, 1, 3, 9, 28, 46, 77, 61, 51, 6, 3, 0]),
     ],
 )
 def test_targeted_level_counts(sizes, counts):
-    # the levels of verify's own search (target r - 1): the lookahead thins
-    # the levels up to r - 3, the dead-vertex test level r - 2
+    # the levels of verify's own search (target r - 1), which the row
+    # filter thins up to level r - 2
     p = MatchParams(sizes)
     r = ramsey_value(p)
     levels = _generate_levels(r, p.c, sizes=p.sizes, classes=p.sizes, target=r - 1)
@@ -181,8 +182,7 @@ def test_targeted_level_counts(sizes, counts):
 
 
 def test_slackless_words_cannot_grow():
-    # a word with every class tight fails the lookahead at t = 2, so the
-    # dead-vertex test has nothing to drop while two or more orders are missing
+    # a word with every class tight fails the Erdos-Gallai bound at t = 2
     for c in range(1, 7):
         for more in range(2, 6):
             assert not _can_reach([0] * c, more)
@@ -209,7 +209,7 @@ def test_erdos_gallai_bound_at_order_8():
     "sizes",
     [
         (3, 3, 2), (2, 2, 2, 2, 2), (4, 3), (3, 2, 2), (2, 2, 2, 2), (3, 3), (4, 2),
-        (2, 2, 2, 2, 2, 2), slow_param((4, 3, 2)),
+        (2, 2, 2, 2, 2, 2), (3, 3, 3), slow_param((4, 3, 2)), slow_param((4, 4, 2)),
     ],
 )
 def test_lookahead_keeps_every_critical_class(sizes):
@@ -222,6 +222,37 @@ def test_lookahead_keeps_every_critical_class(sizes):
     report = verify_ramsey_exhaustive(p, guard=r)
     assert report.verified
     assert [_word_from_coloring(ec) for ec in report.critical_classes] == unpruned
+
+
+def test_min_image_is_the_orbit_minimum():
+    # the floor test's canonical form against the brute-force one: every
+    # word where there are few, seeded random words otherwise
+    rng = random.Random(5)
+    for n in range(7):
+        e = n * (n - 1) // 2
+        for classes in [(0, 0), (0, 1), (2, 2, 2), (3, 2, 2), (2, 2, 2, 2)]:
+            c = len(classes)
+            words = product(range(c), repeat=e) if c**e <= 300 else (
+                [rng.randrange(c) for _ in range(e)] for _ in range(30)
+            )
+            for word in map(bytes, words):
+                assert min_image(word, n, classes) == canonical_form(word, n, classes), (word, classes)
+
+
+@pytest.mark.parametrize("sizes", [(3, 3, 2), (4, 3), (4, 3, 2), slow_param((4, 4, 2))])
+def test_every_induced_subcoloring_of_a_critical_class_survives(sizes):
+    # the floor of the row filter: an induced subcoloring of a critical
+    # coloring extends to one, so verify's search keeps it at its order.
+    # The critical classes come from the unpruned search, so a filter that
+    # drops too much cannot leave this test with nothing to check
+    p = MatchParams(sizes)
+    n = ramsey_value(p) - 1
+    floor = set(_generate_levels(n, p.c, sizes=p.sizes, classes=p.sizes)[n])
+    levels = _generate_levels(n, p.c, sizes=p.sizes, classes=p.sizes, target=n)
+    assert floor
+    for m in range(n, 0, -1):
+        assert floor <= set(levels[m]), m
+        floor = {min_image(deleted(w, m, v), m - 1, p.sizes) for w in floor for v in range(m)}
 
 
 @pytest.mark.parametrize("sizes", [(2, 2, 2, 2), (3, 2, 2), (4, 3)])
@@ -242,6 +273,13 @@ def test_dead_vertex_rule_is_exact(sizes):
         assert dead != free_child, word
         dropped += dead
     assert dropped > 0
+
+
+def test_a_non_free_word_raises():
+    # the carried matchings are maximum, so a negative slack means a
+    # non-free word got into the search; the check holds under python -O
+    with pytest.raises(RuntimeError, match="non-free"):
+        extension_state(bytes(6), 4, (2, 2))  # K_4 in one color has nu = 2
 
 
 PREFIX_FIELDS = ("rows", "twins", "twin_pairs", "free")
