@@ -9,6 +9,8 @@ import pytest
 from matching_ramsey import cli
 from matching_ramsey.cli import main
 from matching_ramsey.formats import MAX_GRAPH_ORDER
+from matching_ramsey.gallai_edmonds import SURPLUS_SUBSET_LIMIT, decompose, verify_decomposition
+from matching_ramsey.graph import graph_from_edges
 
 
 def run(capsys, *argv):
@@ -187,6 +189,23 @@ def test_decompose_a_side_beyond_the_surplus_limit(capsys, tmp_path):
     path.write_text("63\n" + "\n".join(edges) + "\n")
     code, _, err = run(capsys, "decompose", str(path))
     assert code == 2 and "error: surplus check limited" in err
+
+
+def test_a_complete_bipartite_graph_past_the_surplus_limit(capsys, tmp_path):
+    # K_{L+1,L+2} has A = the smaller side, one vertex past the limit L of
+    # the exhaustive surplus check: the library raises, the CLI exits 2
+    a, b = SURPLUS_SUBSET_LIMIT + 1, SURPLUS_SUBSET_LIMIT + 2
+    edges = [(u, a + v) for u in range(a) for v in range(b)]
+    g = graph_from_edges(a + b, edges)
+    ged = decompose(g)
+    assert ged.a == frozenset(range(a))
+    with pytest.raises(ValueError, match=f"surplus check limited to \\|A\\| <= {SURPLUS_SUBSET_LIMIT}"):
+        verify_decomposition(g, ged)
+    path = tmp_path / "k21-22.adjlist"
+    path.write_text(f"{a + b}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    code, out, err = run(capsys, "decompose", str(path))
+    assert code == 2 and out == ""
+    assert f"error: surplus check limited to |A| <= {SURPLUS_SUBSET_LIMIT}" in err
 
 
 def test_decompose_rejects_an_adjlist_above_the_order_limit(capsys, tmp_path):

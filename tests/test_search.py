@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -154,7 +155,8 @@ def test_enumerate_graphs_counts():
 def test_free_class_counts_per_level(sizes, counts):
     # free classes at every order 0..r, measured with the brute-force n! table
     # engine; any change to a prune or to canonicity shows up here.  Each
-    # order is its own search: the lookahead thins the levels below it.
+    # order is its own search (target m): the row filter thins only the
+    # levels below m, never m itself.
     p = MatchParams(sizes)
     r = ramsey_value(p)
     assert [len(free_coloring_classes(p, m, guard=r)) for m in range(r + 1)] == counts
@@ -205,25 +207,6 @@ def test_erdos_gallai_bound_at_order_8():
     _check_ex(8)
 
 
-@pytest.mark.parametrize(
-    "sizes",
-    [
-        (3, 3, 2), (2, 2, 2, 2, 2), (4, 3), (3, 2, 2), (2, 2, 2, 2), (3, 3), (4, 2),
-        (2, 2, 2, 2, 2, 2), (3, 3, 3), slow_param((4, 3, 2)), slow_param((4, 4, 2)),
-    ],
-)
-def test_lookahead_keeps_every_critical_class(sizes):
-    # the pruned search ends on the same words as the unpruned one, and
-    # verify still finds no free coloring of K_r
-    p = MatchParams(sizes)
-    r = ramsey_value(p)
-    unpruned = _generate_levels(r - 1, p.c, sizes=p.sizes, classes=p.sizes)[r - 1]
-    assert [_word_from_coloring(ec) for ec in free_coloring_classes(p, r - 1, guard=r)] == unpruned
-    report = verify_ramsey_exhaustive(p, guard=r)
-    assert report.verified
-    assert [_word_from_coloring(ec) for ec in report.critical_classes] == unpruned
-
-
 def test_min_image_is_the_orbit_minimum():
     # the floor test's canonical form against the brute-force one: every
     # word where there are few, seeded random words otherwise
@@ -239,16 +222,78 @@ def test_min_image_is_the_orbit_minimum():
                 assert min_image(word, n, classes) == canonical_form(word, n, classes), (word, classes)
 
 
-@pytest.mark.parametrize("sizes", [(3, 3, 2), (4, 3), (4, 3, 2), slow_param((4, 4, 2))])
+# sha256(repr(words)) of the critical list, and its length, at points whose
+# unpruned search takes 30-90 s: each was measured with the unpruned
+# engine, and the pruned search gave the same list
+PINNED_CRITICAL = {
+    (4, 4, 2): (4, "e9b1bfee652fccb7180f441f380f45b8956de5649c6b8b1dce37f8f046d73699"),
+    (3, 3, 3, 2): (43, "bd244fe3b3a8837060fa2676497ac53a73d1b212165a7a4e901486f4edd39a23"),
+    (3, 3, 2, 2, 2): (50, "d7f24eff3e35509bf197ad27916d906a3bdd870d1ca3d1b0050d4856f7088150"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _targeted_levels(sizes):
+    # the levels of verify's search, target r - 1, computed once per point
+    p = MatchParams(sizes)
+    n = ramsey_value(p) - 1
+    return _generate_levels(n, p.c, sizes=p.sizes, classes=p.sizes, target=n)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_critical(sizes):
+    # the critical list at order r - 1, computed once per point: from one
+    # unpruned search, or at a PINNED_CRITICAL point, where that search is
+    # too slow, the pruned list once its length and digest match the pin
+    p = MatchParams(sizes)
+    n = ramsey_value(p) - 1
+    if sizes not in PINNED_CRITICAL:
+        return _generate_levels(n, p.c, sizes=p.sizes, classes=p.sizes)[n]
+    words = _targeted_levels(sizes)[n]
+    count, digest = PINNED_CRITICAL[sizes]
+    assert len(words) == count
+    assert hashlib.sha256(repr(words).encode()).hexdigest() == digest
+    return words
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        (3, 3, 2), (2, 2, 2, 2, 2), (4, 3), (3, 2, 2), (2, 2, 2, 2), (3, 3), (4, 2),
+        (2, 2, 2, 2, 2, 2), (3, 3, 3), (4, 3, 2),
+        slow_param((4, 4, 2)), slow_param((3, 3, 3, 2)), slow_param((3, 3, 2, 2, 2)),
+    ],
+)
+def test_lookahead_keeps_every_critical_class(sizes):
+    # the pruned search ends on the reference critical list, and verify
+    # finds no free coloring of K_r and a witness for each class
+    p = MatchParams(sizes)
+    r = ramsey_value(p)
+    critical = _reference_critical(sizes)
+    assert critical
+    assert _targeted_levels(sizes)[r - 1] == critical
+    report = verify_ramsey_exhaustive(p, guard=r)
+    assert report.verified and report.structure_ok
+    assert [_word_from_coloring(ec) for ec in report.critical_classes] == critical
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        (3, 3, 2), (4, 3), (4, 3, 2), (2, 2, 2, 2, 2), (3, 2, 2), (2, 2, 2, 2), (3, 3), (4, 2),
+        (2, 2, 2, 2, 2, 2), (3, 3, 3),
+        slow_param((4, 4, 2)), slow_param((3, 3, 3, 2)), slow_param((3, 3, 2, 2, 2)),
+    ],
+)
 def test_every_induced_subcoloring_of_a_critical_class_survives(sizes):
     # the floor of the row filter: an induced subcoloring of a critical
     # coloring extends to one, so verify's search keeps it at its order.
-    # The critical classes come from the unpruned search, so a filter that
-    # drops too much cannot leave this test with nothing to check
+    # The reference list is non-empty, so a filter that drops too much
+    # cannot leave this test with nothing to check
     p = MatchParams(sizes)
     n = ramsey_value(p) - 1
-    floor = set(_generate_levels(n, p.c, sizes=p.sizes, classes=p.sizes)[n])
-    levels = _generate_levels(n, p.c, sizes=p.sizes, classes=p.sizes, target=n)
+    levels = _targeted_levels(sizes)
+    floor = set(_reference_critical(sizes))
     assert floor
     for m in range(n, 0, -1):
         assert floor <= set(levels[m]), m
@@ -483,16 +528,6 @@ def test_verify_beyond_the_old_table_ceiling():
     assert report.verified and report.order_checked == 10
     assert len(report.critical_classes) == 4
     assert all(is_free(ec, p) for ec in report.critical_classes)
-
-
-@slow
-def test_critical_list_3_3_3_2_is_pinned():
-    # order 10, 43 classes; the unpruned engine gave the same list in 140 s
-    report = enumerate_critical(MatchParams((3, 3, 3, 2)), guard=10)
-    words = [_word_from_coloring(ec) for ec in report.critical_classes]
-    assert len(words) == 43 and report.structure_ok
-    digest = "bd244fe3b3a8837060fa2676497ac53a73d1b212165a7a4e901486f4edd39a23"
-    assert hashlib.sha256(repr(words).encode()).hexdigest() == digest
 
 
 def test_enumerate_critical_rejects_a_non_free_class(monkeypatch):
