@@ -26,14 +26,14 @@ in the same colors, are interchangeable, so only one of them is tried at
 each position.  Nothing of size n! is built, so the test has no order limit.
 
 A ``Prefix`` is the state that the one-vertex extensions of a K_m word
-share: color rows, class members, unused colors and twin classes, which
-only ``Prefix.joined`` computes (a class splits by the new vertex's colors,
-and the new vertex joins at most one class).  The search builds it once
-per search and then carries it: ``Prefix.child`` is the state of a
-representative, one ``joined`` step from its parent's.
-``has_smaller_swap`` drops a row that swapping two twins, or two same-class
-colors the prefix never uses, makes smaller, and ``is_canonical`` extends
-the state by the word's last block.
+share: color classes and their members, color rows, unused colors and twin
+classes, which only ``Prefix.joined`` computes (a class splits by the new
+vertex's colors, and the new vertex joins at most one class).
+``Prefix(classes)`` is the state of K_0, and ``Prefix.child`` is the one
+way to grow a state, by one vertex, so a K_m state is m ``joined`` steps
+from K_0's.  ``has_smaller_swap`` drops a row that swapping two twins, or
+two same-class colors the prefix never uses, makes smaller, and
+``is_canonical(prefix, row)`` tests the prefix's word extended by ``row``.
 
 ``perm_edge_table`` and ``canonical_form`` compute the orbit minimum by brute
 force over every vertex and color permutation.  They are the reference the
@@ -66,28 +66,29 @@ def edge_list(n: int) -> list[tuple[int, int]]:
 class Prefix:
     """What every one-vertex extension of a K_m word shares.
 
-    ``rows[v]``: the colors from v to every vertex (-1 at v itself);
-    ``members``: the colors of each class label; ``twins``: the twin classes
-    in order of their least member; ``unused``: the colors of each class
-    the word never uses; ``twin_pairs`` and ``free``: consecutive members of
-    a twin class, and consecutive unused colors of a class.
+    ``classes``: one label per color; ``members``: the colors of each
+    label; ``rows[v]``: the colors from v to every vertex (-1 at v itself);
+    ``twins``: the twin classes in order of their least member; ``unused``:
+    the colors of each class the word never uses; ``twin_pairs`` and
+    ``free``: consecutive members of a twin class, and consecutive unused
+    colors of a class.
     """
 
-    __slots__ = ("members", "rows", "twins", "unused", "twin_pairs", "free")
+    __slots__ = ("classes", "members", "rows", "twins", "unused", "twin_pairs", "free")
 
-    def __init__(self, word, m: int, classes: tuple[int, ...]) -> None:
+    def __init__(self, classes: tuple[int, ...]) -> None:
+        """The state of the empty word, K_0: every color is unused."""
+        self.classes = classes
         self.members: dict[int, list[int]] = {}
         for col, label in enumerate(classes):
             self.members.setdefault(label, []).append(col)
         self.rows, self.twins = [], []
-        for k in range(m):
-            self.rows, self.twins = self.joined(word[k * (k - 1) // 2 : k * (k + 1) // 2])
-        self._pair([[col for col in cols if col not in word] for cols in self.members.values()])
+        self._pair(list(self.members.values()))
 
     def child(self, row) -> Prefix:
         """The state of the word extended by a vertex with colors ``row``."""
         state = Prefix.__new__(Prefix)
-        state.members = self.members
+        state.classes, state.members = self.classes, self.members
         state.rows, state.twins = self.joined(row)
         state._pair([[col for col in cols if col not in row] for cols in self.unused])
         return state
@@ -142,22 +143,18 @@ class Prefix:
         return False
 
 
-def is_canonical(word, n: int, classes: tuple[int, ...], prefix: Prefix | None = None) -> bool:
-    """Is ``word`` (a K_n word, bytes-like) the lexicographic minimum of its orbit?
+def is_canonical(prefix: Prefix, row) -> bool:
+    """Is the word of ``prefix``, a K_{n-1} state, extended by a vertex with
+    colors ``row`` (bytes-like) the lexicographic minimum of its K_n orbit?
 
-    ``classes`` holds one label per color; the allowed color permutations are
-    those that keep every color inside its label's class.  ``prefix`` is the
-    :class:`Prefix` of the word's K_{n-1} prefix; it is built here when omitted.
+    The allowed color permutations are those that keep every color inside
+    its label's class in ``prefix.classes``.
     """
-    if n < 2:
-        return True
-    cut = (n - 1) * (n - 2) // 2
-    if prefix is None:
-        prefix = Prefix(word[:cut], n - 1, classes)
+    n = len(prefix.rows) + 1
     # Swapping two twins is an automorphism of the word, so only the first
     # unplaced vertex of each twin class is tried at each position.
-    colors, twin_classes = prefix.joined(word[cut:])
-    members = prefix.members
+    colors, twin_classes = prefix.joined(row)
+    classes, members = prefix.classes, prefix.members
     # The greedy color mapping and the twin rule both take the first unused
     # member of a class, so one counter per class is the whole state.
     used_colors = dict.fromkeys(members, 0)
@@ -167,7 +164,7 @@ def is_canonical(word, n: int, classes: tuple[int, ...], prefix: Prefix | None =
 
     def smaller_image(k: int) -> bool:
         """Does some placement of the unplaced vertices at positions k, k+1, ...
-        give an image word smaller than ``word``?"""
+        give an image word smaller than the word?"""
         if k == n:
             return False
         # block k of the word: zip stops at the k placed vertices
@@ -177,11 +174,11 @@ def is_canonical(word, n: int, classes: tuple[int, ...], prefix: Prefix | None =
             if i == len(twins):
                 continue
             v = twins[i]
-            row = colors[v]
+            seen = colors[v]
             fresh = []
             diff = 0
             for u, t in zip(placed, target):
-                a = row[u]
+                a = seen[u]
                 b = image[a]
                 if b < 0:
                     label = classes[a]

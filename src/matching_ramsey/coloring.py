@@ -125,10 +125,14 @@ def matching_profile(ec: EdgeColoring) -> tuple[int, ...]:
     return tuple(matching_number(color_class(ec, i)) for i in range(1, ec.c + 1))
 
 
-def is_free(ec: EdgeColoring, p: MatchParams) -> bool:
-    """True iff no color class i contains a matching of size n_i."""
+def _check_color_count(ec: EdgeColoring, p: MatchParams) -> None:
     if ec.c != p.c:
         raise ValueError(f"coloring has {ec.c} colors, parameters expect {p.c}")
+
+
+def is_free(ec: EdgeColoring, p: MatchParams) -> bool:
+    """True iff no color class i contains a matching of size n_i."""
+    _check_color_count(ec, p)
     for i, target in enumerate(p.sizes, start=1):
         if has_matching_of_size(color_class(ec, i), target):
             return False
@@ -137,8 +141,7 @@ def is_free(ec: EdgeColoring, p: MatchParams) -> bool:
 
 def find_monochromatic_matching(ec: EdgeColoring, p: MatchParams) -> tuple[int, Matching] | None:
     """Some color i together with a monochromatic n_i-matching, if one exists."""
-    if ec.c != p.c:
-        raise ValueError(f"coloring has {ec.c} colors, parameters expect {p.c}")
+    _check_color_count(ec, p)
     for i, target in enumerate(p.sizes, start=1):
         mm = maximum_matching(color_class(ec, i))
         if mm.size >= target:
@@ -203,8 +206,7 @@ def check_structure(ec: EdgeColoring, p: MatchParams, w: StructureWitness) -> bo
     colors with different target sizes) raises; a well-formed witness that
     fails the clauses returns False.
     """
-    if ec.c != p.c:
-        raise ValueError(f"coloring has {ec.c} colors, parameters expect {p.c}")
+    _check_color_count(ec, p)
     relabel = w.color_relabel
     if sorted(relabel) != list(range(1, p.c + 1)):
         raise ValueError("color_relabel is not a permutation of 1..c")
@@ -248,6 +250,7 @@ def find_structure(ec: EdgeColoring, p: MatchParams) -> StructureWitness | None:
     m is tied with n_1.  For each tied color m in turn the forced candidate
     is built and :func:`check_structure` alone accepts or rejects it.
     """
+    _check_color_count(ec, p)
     if not _is_complete(ec.host):
         raise ValueError("structure search requires a complete host graph")
     if ec.host.n != p.critical_order:

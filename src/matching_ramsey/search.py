@@ -47,7 +47,7 @@ row filter, and the levels from the target on are complete.
 classes cannot reach order r, so a target of r could prune them away, and
 order r is the plain extension of the complete critical level.
 
-The symmetry group is given as color classes (see ``canon.is_canonical``):
+The symmetry group is given as color classes (see ``canon.Prefix``):
 the target sizes for the verification entry points, one shared class for
 plain color enumeration, and one class per color for graph enumeration.
 Canonicity is decided by a backtracking search, so no order limit comes
@@ -287,7 +287,6 @@ def _extend_representative(
     rep: tuple[tuple[Prefix, Extension | None], bytes],
     m: int,
     c: int,
-    classes: tuple[int, ...],
     sizes: tuple[int, ...] | None,
     target: int | None = None,
 ) -> tuple[tuple[Prefix, Extension | None] | None, list[bytes]]:
@@ -300,9 +299,10 @@ def _extend_representative(
     allowed colors of :func:`extension_state`, so every candidate row is
     free; otherwise over all ``c`` colors.  Rows come in lexicographic
     order.  The prefix state drops the rows a symmetry of the word makes
-    smaller; the canonicity test extends it by each remaining row.  While
-    ``target`` is one or more orders away, the row filter of
-    :func:`_extendable` runs between the two.
+    smaller, and ``is_canonical(prefix, row)`` tests each remaining row;
+    only an accepted row is joined to the word.  While ``target`` is one or
+    more orders away, the row filter of :func:`_extendable` runs between
+    the two.
     """
     (parent, parent_ext), word = rep
     prefix = parent.child(word[(m - 1) * (m - 2) // 2 :])
@@ -318,9 +318,8 @@ def _extend_representative(
     for row in rows:
         if prefix.has_smaller_swap(row) or (keep is not None and not keep(row)):
             continue
-        cand = word + row
-        if is_canonical(cand, m + 1, classes, prefix):
-            out.append(cand)
+        if is_canonical(prefix, row):
+            out.append(word + row)
     return ((prefix, ext) if out else None), out
 
 
@@ -348,13 +347,11 @@ def _generate_levels(
     children pass on.
     """
     levels: list[list[bytes]] = [[b""], [b""]][: n + 1]  # K_0 and K_1: no edges
-    root = Prefix(b"", 0, classes), None if sizes is None else extension_state(b"", 0, sizes)
+    root = Prefix(classes), None if sizes is None else extension_state(b"", 0, sizes)
     reps = [(root, b"")]  # levels[m], each word with its parent's state
     workers = min(jobs, os.cpu_count() or 1)
     for m in range(1, n):
-        extend = partial(
-            _extend_representative, m=m, c=c, classes=classes, sizes=sizes, target=target
-        )
+        extend = partial(_extend_representative, m=m, c=c, sizes=sizes, target=target)
         if workers > 1 and len(reps) > 2 * workers:
             from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 

@@ -40,7 +40,8 @@ from matching_ramsey import (
     graph_from_edges,
     is_free,
 )
-from matching_ramsey.canon import canonical_form
+from matching_ramsey.canon import Prefix, canonical_form, is_canonical
+from matching_ramsey.search import _word_from_coloring
 from matching_ramsey.star import _attach_center
 
 
@@ -84,12 +85,23 @@ def naive_orbit_reps(n: int, c: int, params: MatchParams | None = None, free_onl
     for ec in all_colorings(n, c):
         if free_only and not is_free(ec, params):
             continue
-        reps.add(canonical_form(coloring_word(ec), n, classes))
+        reps.add(canonical_form(_word_from_coloring(ec), n, classes))
     return reps
 
 
-def coloring_word(ec: EdgeColoring) -> bytes:
-    return bytes(col - 1 for col in ec.colors)
+def prefix_of(word, m: int, classes: tuple[int, ...]) -> Prefix:
+    """The canonicity state of the K_m ``word``: K_0's, grown by one block per vertex."""
+    prefix = Prefix(classes)
+    for k in range(m):
+        prefix = prefix.child(word[k * (k - 1) // 2 : k * (k + 1) // 2])
+    return prefix
+
+
+def canonical(word, n: int, classes: tuple[int, ...]) -> bool:
+    """Is the K_n ``word`` canonical?  Its K_{n-1} state and its last block
+    go to ``is_canonical``; the empty word of K_0 is canonical."""
+    cut = (n - 1) * (n - 2) // 2
+    return n == 0 or is_canonical(prefix_of(word, n - 1, classes), word[cut:])
 
 
 def min_image(word, n: int, classes: tuple[int, ...]) -> bytes:

@@ -14,6 +14,8 @@ from matching_ramsey.canon import (
     perm_edge_table,
 )
 
+from helpers import canonical, prefix_of
+
 # (order, number of colors, color classes): the full color group, the groups
 # of the target sizes, and the identity group used for graphs.
 EXHAUSTIVE_POINTS = [
@@ -48,25 +50,24 @@ def swap_makes_smaller(prefix: bytes, row: bytes, classes) -> bool:
 
 @pytest.mark.parametrize("n,c,classes", EXHAUSTIVE_POINTS)
 def test_is_canonical_matches_orbit_minimum_on_every_word(n, c, classes):
-    # Also on every word: the canonicity test given an explicit prefix state,
-    # and the row filter, which skips exactly the rows that one twin or
-    # unused-color swap makes smaller, so only words that are not canonical.
+    # Also on every word: the row filter, which skips exactly the rows that
+    # one twin or unused-color swap makes smaller, so only words that are
+    # not canonical.
     cut = (n - 1) * (n - 2) // 2
     prefix_word, prefix, skipped = None, None, 0
     for letters in itertools.product(range(c), repeat=n * (n - 1) // 2):
         word = bytes(letters)
-        canonical = canonical_form(word, n, classes) == word
-        assert is_canonical(word, n, classes) is canonical
+        is_minimum = canonical_form(word, n, classes) == word
+        assert canonical(word, n, classes) is is_minimum
         if n < 2:
             continue
         if word[:cut] != prefix_word:
             prefix_word = word[:cut]
-            prefix = Prefix(prefix_word, n - 1, classes)
-        assert is_canonical(word, n, classes, prefix) is canonical
+            prefix = prefix_of(prefix_word, n - 1, classes)
         skip = prefix.has_smaller_swap(word[cut:])
         assert skip is swap_makes_smaller(prefix_word, word[cut:], classes)
         if skip:
-            assert not canonical
+            assert not is_minimum
             skipped += 1
     assert skipped > 0 or n < 3
 
@@ -79,7 +80,7 @@ def test_row_filter_matches_the_swap_oracle_on_random_prefixes(classes):
     for m in (4, 5):
         for _ in range(4):
             prefix = bytes(rng.choice((0, 1, rng.randrange(5))) for _ in range(m * (m - 1) // 2))
-            state = Prefix(prefix, m, classes)
+            state = prefix_of(prefix, m, classes)
             for row in map(bytes, itertools.product(range(5), repeat=m)):
                 assert state.has_smaller_swap(row) is swap_makes_smaller(prefix, row, classes)
 
@@ -93,10 +94,16 @@ def test_is_canonical_matches_orbit_minimum_on_random_words(n):
         # Few colors and long monochromatic runs make nontrivial automorphisms likely.
         word = bytes(rng.choice((0, rng.randrange(c))) for _ in range(n * (n - 1) // 2))
         minimum = canonical_form(word, n, classes)
-        assert is_canonical(minimum, n, classes) is True
+        assert canonical(minimum, n, classes) is True
         cut = (n - 1) * (n - 2) // 2
-        assert not Prefix(minimum[:cut], n - 1, classes).has_smaller_swap(minimum[cut:])
-        assert is_canonical(word, n, classes) is (minimum == word)
+        assert not prefix_of(minimum[:cut], n - 1, classes).has_smaller_swap(minimum[cut:])
+        assert canonical(word, n, classes) is (minimum == word)
+
+
+@pytest.mark.parametrize("classes", [(0, 0), (0, 1), (2, 2, 1)])
+def test_the_one_vertex_word_is_canonical(classes):
+    # K_1 is the K_0 state extended by an empty row
+    assert is_canonical(Prefix(classes), b"") is True
 
 
 def test_perm_edge_table_is_bounded():

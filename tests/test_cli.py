@@ -314,6 +314,19 @@ def test_coloring_verbs_take_sizes_per_color(capsys, tmp_path, verb):
     assert err == "error: matching sizes must be non-increasing\n"
 
 
+@pytest.mark.parametrize(
+    "rows", ["3 3 3\n3 3\n3\n", "1 1 3\n1 3\n3\n"], ids=["all-color-3", "color-1-triangle"]
+)
+@pytest.mark.parametrize("verb", ["free-check", "structure", "ledger"])
+def test_coloring_verbs_reject_a_wrong_color_count(capsys, tmp_path, verb, rows):
+    # a three-color K_4 against two sizes is a usage error, not NONE or a crash
+    path = tmp_path / "k4.ecg"
+    path.write_text("4 3\n" + rows)
+    code, out, err = run(capsys, verb, str(path), "--params", "2", "2")
+    assert code == 2 and out == ""
+    assert err == "error: coloring has 3 colors, parameters expect 2\n"
+
+
 def test_free_check_with_sorted_sizes(capsys, tmp_path):
     path = tmp_path / "k4.ecg"
     path.write_text(K4_TWO_COLORS)

@@ -25,6 +25,7 @@ from matching_ramsey import (
     matching_profile,
 )
 from matching_ramsey.canon import edge_index
+from matching_ramsey.formats import parse_ecg
 
 from helpers import all_colorings, brute_force_structure
 
@@ -175,6 +176,17 @@ def test_find_structure_examples():
 
     with pytest.raises(ValueError):
         find_structure(monochromatic(5, c=2), p22)  # wrong order
+
+
+# a K_4 in three colors: every edge in color 3, and a color-1 triangle
+# whose fourth vertex sees it in color 3
+K4_THREE_COLORS = ["4 3\n3 3 3\n3 3\n3\n", "4 3\n1 1 3\n1 3\n3\n"]
+
+
+@pytest.mark.parametrize("text", K4_THREE_COLORS, ids=["all-color-3", "color-1-triangle"])
+def test_find_structure_checks_the_color_count(text):
+    with pytest.raises(ValueError, match="coloring has 3 colors, parameters expect 2"):
+        find_structure(parse_ecg(text), MatchParams((2, 2)))
 
 
 def test_find_structure_on_swapped_colors():

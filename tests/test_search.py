@@ -23,7 +23,7 @@ from matching_ramsey import (
     verify_ramsey_exhaustive,
 )
 from matching_ramsey import search
-from matching_ramsey.canon import Prefix, canonical_form, edge_list
+from matching_ramsey.canon import canonical_form, edge_list
 from matching_ramsey.graph import Graph
 from matching_ramsey.matching import _matching_on_masks, matching_number, missed_mask
 from matching_ramsey.search import (
@@ -37,7 +37,7 @@ from matching_ramsey.search import (
     extension_state,
 )
 
-from helpers import coloring_word, deleted, min_image, naive_orbit_reps, slow, slow_param
+from helpers import deleted, min_image, naive_orbit_reps, prefix_of, slow, slow_param
 
 
 def test_ramsey_value_table():
@@ -63,7 +63,7 @@ def test_enumerate_against_naive_orbit_oracle():
     for n in range(1, 5):
         for c in (1, 2):
             collected = []
-            count = enumerate_colorings(n, c, lambda ec: collected.append(coloring_word(ec)))
+            count = enumerate_colorings(n, c, lambda ec: collected.append(_word_from_coloring(ec)))
             naive = naive_orbit_reps(n, c)
             assert count == len(collected) == len(naive)
             assert set(collected) == naive
@@ -72,7 +72,7 @@ def test_enumerate_against_naive_orbit_oracle():
 def test_free_enumeration_against_naive_oracle():
     p = MatchParams((2, 2))
     for order in (3, 4, 5):
-        engine = {coloring_word(ec) for ec in free_coloring_classes(p, order)}
+        engine = {_word_from_coloring(ec) for ec in free_coloring_classes(p, order)}
         naive = naive_orbit_reps(order, 2, params=p, free_only=True)
         assert engine == naive
 
@@ -80,7 +80,7 @@ def test_free_enumeration_against_naive_oracle():
 def test_visited_classes_are_canonical_words():
     p = MatchParams((2, 2))
     for ec in free_coloring_classes(p, 4):
-        word = coloring_word(ec)
+        word = _word_from_coloring(ec)
         assert canonical_form(word, 4, p.sizes) == word
 
 
@@ -112,7 +112,7 @@ def test_critical_classes_for_2_2():
 
     # the explicit construction lands in the enumerated class
     cf = canonical_form(_word_from_coloring(construct_critical(p)), 4, p.sizes)
-    assert cf in {coloring_word(ec) for ec in report.critical_classes}
+    assert cf in {_word_from_coloring(ec) for ec in report.critical_classes}
 
 
 def test_reports_are_deterministic():
@@ -369,7 +369,7 @@ def test_reused_search_state_is_the_fresh_state(monkeypatch, sizes):
         if state is not None:
             carried.append((state, word, m))
         for (prefix, ext), w, k in carried:
-            want = Prefix(w, k, p.sizes)
+            want = prefix_of(w, k, p.sizes)
             assert [getattr(prefix, f) for f in PREFIX_FIELDS] == [getattr(want, f) for f in PREFIX_FIELDS]
             assert_state_is_the_definition(ext, w, k, p.sizes)
         ext = extension_state(word, m, p.sizes)
