@@ -32,8 +32,10 @@ vertex's colors, and the new vertex joins at most one class).
 ``Prefix(classes)`` is the state of K_0, and ``Prefix.child`` is the one
 way to grow a state, by one vertex, so a K_m state is m ``joined`` steps
 from K_0's.  ``has_smaller_swap`` drops a row that swapping two twins, or
-two same-class colors the prefix never uses, makes smaller, and
-``is_canonical(prefix, row)`` tests the prefix's word extended by ``row``.
+two same-class colors the prefix never uses, makes smaller;
+``has_smaller_insertion`` drops a row whose new vertex, moved to an earlier
+position k, already gives a smaller block k; and ``is_canonical(prefix,
+row)`` tests the prefix's word extended by ``row``.
 
 ``perm_edge_table`` and ``canonical_form`` compute the orbit minimum by brute
 force over every vertex and color permutation.  They are the reference the
@@ -68,13 +70,14 @@ class Prefix:
 
     ``classes``: one label per color; ``members``: the colors of each
     label; ``rows[v]``: the colors from v to every vertex (-1 at v itself);
+    ``blocks[k]``: the word's block k, the colors from k back to 0..k-1;
     ``twins``: the twin classes in order of their least member; ``unused``:
     the colors of each class the word never uses; ``twin_pairs`` and
     ``free``: consecutive members of a twin class, and consecutive unused
     colors of a class.
     """
 
-    __slots__ = ("classes", "members", "rows", "twins", "unused", "twin_pairs", "free")
+    __slots__ = ("classes", "members", "rows", "blocks", "twins", "unused", "twin_pairs", "free")
 
     def __init__(self, classes: tuple[int, ...]) -> None:
         """The state of the empty word, K_0: every color is unused."""
@@ -82,7 +85,7 @@ class Prefix:
         self.members: dict[int, list[int]] = {}
         for col, label in enumerate(classes):
             self.members.setdefault(label, []).append(col)
-        self.rows, self.twins = [], []
+        self.rows, self.blocks, self.twins = [], [], []
         self._pair(list(self.members.values()))
 
     def child(self, row) -> Prefix:
@@ -90,6 +93,7 @@ class Prefix:
         state = Prefix.__new__(Prefix)
         state.classes, state.members = self.classes, self.members
         state.rows, state.twins = self.joined(row)
+        state.blocks = self.blocks + [bytes(row)]
         state._pair([[col for col in cols if col not in row] for cols in self.unused])
         return state
 
@@ -139,6 +143,19 @@ class Prefix:
         for a, b in self.free:
             j = row.find(b)
             if j >= 0 and not 0 <= row.find(a) < j:
+                return True
+        return False
+
+    def has_smaller_insertion(self, row: bytes) -> bool:
+        """Does moving the new vertex to a position k < m, with 0..k-1 kept
+        in place, make block k smaller?
+
+        The image's first k blocks are the word's and its block k is
+        ``row[:k]``, so with the identity color map, which every class
+        allows, the extended word is then not its orbit minimum.
+        """
+        for k, block in enumerate(self.blocks):
+            if row[:k] < block:
                 return True
         return False
 

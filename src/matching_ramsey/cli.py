@@ -182,6 +182,9 @@ def cmd_critical(args) -> int:
     p = _params(args.sizes)
     if args.output is not None:
         _check_writable(args.output)
+    elif args.format is not None:
+        # the list goes only to a file; stdout carries the summary line
+        raise ValueError("--format needs --output")
     report = enumerate_critical(p, guard=args.guard, jobs=args.jobs, progress=_progress)
     print(
         f"order={report.order_checked} classes={len(report.critical_classes)} "
@@ -279,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("critical", help="enumerate critical classes and check structure")
     add_sizes(sp)
     add_search_flags(sp)
-    sp.add_argument("--format", choices=("ecg", "json"), default="ecg")
+    sp.add_argument("--format", choices=("ecg", "json"), default=None, help="default ecg")
     sp.add_argument("--output", "-o", default=None)
     sp.set_defaults(fn=cmd_critical)
 

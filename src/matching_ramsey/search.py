@@ -22,7 +22,9 @@ whose full word is again canonical.  Four prunes keep the tree small:
   and the rows are the product of those choices, so every candidate is free;
 * symmetry of the representative: a row that swapping two of its twins, or
   two same-class colors it never uses, makes smaller is dropped without a
-  canonicity test (``canon.Prefix.has_smaller_swap``);
+  canonicity test (``canon.Prefix.has_smaller_swap``), and so is a row whose
+  new vertex, moved to an earlier position k, gives a smaller block k
+  (``canon.Prefix.has_smaller_insertion``);
 * one row filter toward a target order T, while the word plus its row, W,
   misses more = T - m - 1 >= 1 vertices (``_extendable``).  With
   s_i = n_i - 1 - nu_i the slacks of W (a row raises nu_i exactly when it
@@ -298,8 +300,9 @@ def _extend_representative(
     With ``sizes`` given, each edge to the new vertex ranges over the
     allowed colors of :func:`extension_state`, so every candidate row is
     free; otherwise over all ``c`` colors.  Rows come in lexicographic
-    order.  The prefix state drops the rows a symmetry of the word makes
-    smaller, and ``is_canonical(prefix, row)`` tests each remaining row;
+    order.  The prefix state drops the rows a symmetry of the word, or
+    moving the new vertex earlier, makes smaller, and
+    ``is_canonical(prefix, row)`` tests each remaining row;
     only an accepted row is joined to the word.  While ``target`` is one or
     more orders away, the row filter of :func:`_extendable` runs between
     the two.
@@ -316,7 +319,9 @@ def _extend_representative(
             keep = _extendable(ext, m, target - m - 1)
     out = []
     for row in rows:
-        if prefix.has_smaller_swap(row) or (keep is not None and not keep(row)):
+        if prefix.has_smaller_swap(row) or prefix.has_smaller_insertion(row):
+            continue
+        if keep is not None and not keep(row):
             continue
         if is_canonical(prefix, row):
             out.append(word + row)

@@ -13,6 +13,10 @@ The brute-force structure oracle tries every vertex subset of the right
 size as V_1, independently of the forced-V_1 argument of
 ``matching_ramsey.find_structure``.
 
+``insertion_makes_smaller`` builds each image of an extended word whose new
+vertex moves to an earlier position as a whole word, independently of the
+blocks ``matching_ramsey.canon.Prefix`` keeps.
+
 ``min_image`` computes an orbit minimum by its own backtracking search,
 without ``matching_ramsey.canon``, for orders the brute-force
 ``canonical_form`` cannot reach.
@@ -40,7 +44,7 @@ from matching_ramsey import (
     graph_from_edges,
     is_free,
 )
-from matching_ramsey.canon import Prefix, canonical_form, is_canonical
+from matching_ramsey.canon import Prefix, canonical_form, edge_index, is_canonical
 from matching_ramsey.search import _word_from_coloring
 from matching_ramsey.star import _attach_center
 
@@ -143,6 +147,28 @@ def min_image(word, n: int, classes: tuple[int, ...]) -> bytes:
 
     place([], b"", {})
     return best[0]
+
+
+def insertion_makes_smaller(word, m: int, row) -> bool:
+    """Brute force: is some image of the K_m ``word`` extended by ``row``,
+    with the new vertex m moved to a position k < m, vertices 0..k-1 kept in
+    place and the identity color map, smaller than the extended word in its
+    first k + 1 blocks?
+
+    Each image is built as a full K_{m+1} word with ``edge_index``; the
+    vertices k..m-1 move up by one, and the new vertex takes position k.
+    """
+    n = m + 1
+    full = bytes(word) + bytes(row)
+    for k in range(m):
+        order = [*range(k), m, *range(k, m)]  # order[p]: the vertex at position p
+        image = bytes(
+            full[edge_index(order[u], order[v])] for v in range(n) for u in range(v)
+        )
+        cut = (k + 1) * k // 2  # blocks 0..k
+        if image[:cut] < full[:cut]:
+            return True
+    return False
 
 
 def deleted(word, n: int, v: int) -> bytes:

@@ -14,7 +14,7 @@ from matching_ramsey.canon import (
     perm_edge_table,
 )
 
-from helpers import canonical, prefix_of
+from helpers import canonical, insertion_makes_smaller, prefix_of
 
 # (order, number of colors, color classes): the full color group, the groups
 # of the target sizes, and the identity group used for graphs.
@@ -83,6 +83,42 @@ def test_row_filter_matches_the_swap_oracle_on_random_prefixes(classes):
             state = prefix_of(prefix, m, classes)
             for row in map(bytes, itertools.product(range(5), repeat=m)):
                 assert state.has_smaller_swap(row) is swap_makes_smaller(prefix, row, classes)
+
+
+@pytest.mark.parametrize("n,c,classes", EXHAUSTIVE_POINTS)
+def test_insertion_test_matches_its_oracle_on_every_word(n, c, classes):
+    # Moving the new vertex earlier is a necessary condition only: a True
+    # verdict must mean the word is not canonical.
+    cut = (n - 1) * (n - 2) // 2
+    prefix_word, prefix, dropped = None, None, 0
+    for letters in itertools.product(range(c), repeat=n * (n - 1) // 2):
+        word = bytes(letters)
+        if n < 2:
+            continue
+        if word[:cut] != prefix_word:
+            prefix_word = word[:cut]
+            prefix = prefix_of(prefix_word, n - 1, classes)
+        drop = prefix.has_smaller_insertion(word[cut:])
+        assert drop is insertion_makes_smaller(prefix_word, n - 1, word[cut:])
+        if drop:
+            assert canonical_form(word, n, classes) != word
+            dropped += 1
+    assert dropped > 0 or n < 3
+
+
+@pytest.mark.parametrize("m", [6, 7, 8])
+def test_insertion_test_matches_its_oracle_on_random_prefixes(m):
+    rng = random.Random(m)
+    for _ in range(3):
+        c = rng.randint(2, 3)
+        classes = tuple(rng.randint(0, 1) for _ in range(c))
+        prefix = bytes(rng.choice((0, rng.randrange(c))) for _ in range(m * (m - 1) // 2))
+        state = prefix_of(prefix, m, classes)
+        for row in map(bytes, itertools.product(range(c), repeat=m)):
+            drop = state.has_smaller_insertion(row)
+            assert drop is insertion_makes_smaller(prefix, m, row)
+            if drop:
+                assert canonical(prefix + row, m + 1, classes) is False
 
 
 @pytest.mark.parametrize("n", [6, 7])

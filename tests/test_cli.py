@@ -372,3 +372,13 @@ def test_critical_output_check_touches_no_file(capsys, tmp_path):
         code, _, err = run(capsys, "critical", "5", "5", "-o", str(target))
         assert code == 2 and "enumeration guard" in err
     assert kept.read_text() == "keep\n" and not missing.exists()
+
+
+@pytest.mark.parametrize("fmt", ["ecg", "json"])
+def test_critical_format_without_output_exits_before_it_searches(capsys, fmt):
+    # the list goes only to a file, so a format with nowhere to go is a
+    # usage error, raised before any progress line
+    code, out, err = run(capsys, "critical", "3", "2", "--format", fmt)
+    assert (code, out, err) == (2, "", "error: --format needs --output\n")
+    code, out, _ = run(capsys, "critical", "3", "2")
+    assert code == 0 and out == "order=6 classes=1 structure_failures=0\n"

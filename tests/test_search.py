@@ -386,6 +386,26 @@ def test_reused_search_state_is_the_fresh_state(monkeypatch, sizes):
     assert checked == {m: len(levels[m]) for m in range(1, r)}
 
 
+@pytest.mark.parametrize(
+    "sizes,accepts,rejects",
+    [((3, 3, 2), 101, 19), ((2, 2, 2, 2, 2), 33, 74), ((4, 3), 44, 0)],
+)
+def test_canonicity_work_is_pinned(monkeypatch, sizes, accepts, rejects):
+    # is_canonical's verdicts in one verify call: the accepts are the words
+    # of every level, and the rejects are the rows the swap and insertion
+    # tests and the row filter let through to it
+    real_is_canonical = search.is_canonical
+    verdicts = []
+
+    def spy(prefix, row):
+        verdicts.append(real_is_canonical(prefix, row))
+        return verdicts[-1]
+
+    monkeypatch.setattr(search, "is_canonical", spy)
+    verify_ramsey_exhaustive(MatchParams(sizes), guard=10)
+    assert (verdicts.count(True), verdicts.count(False)) == (accepts, rejects)
+
+
 def test_one_vertex_growth_is_the_definition():
     # every graph of order <= 7, each vertex x in turn as the new one: grow
     # the state of the rest (a maximum matching and its D) by x, and the
