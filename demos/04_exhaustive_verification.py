@@ -28,7 +28,7 @@ for sizes in [(2, 2), (3, 2), (2, 2, 2), (3, 3)]:
 print()
 print("free class counts by order for (3, 3):")
 p = MatchParams((3, 3))
-levels = _generate_levels(8, 2, sizes=p.sizes, classes=p.sizes)
+levels = _generate_levels(8, p.sizes, free=True)
 for order, classes in enumerate(levels):
     print(f"  K_{order}: {len(classes)}")
 if len(levels[8]) != 0:

@@ -69,15 +69,15 @@ class Prefix:
     """What every one-vertex extension of a K_m word shares.
 
     ``classes``: one label per color; ``members``: the colors of each
-    label; ``rows[v]``: the colors from v to every vertex (-1 at v itself);
-    ``blocks[k]``: the word's block k, the colors from k back to 0..k-1;
+    label; ``rows[v]``: bytes, the colors from v to every vertex (its own
+    byte is a placeholder), so ``rows[k][:k]`` is the word's block k;
     ``twins``: the twin classes in order of their least member; ``unused``:
     the colors of each class the word never uses; ``twin_pairs`` and
     ``free``: consecutive members of a twin class, and consecutive unused
     colors of a class.
     """
 
-    __slots__ = ("classes", "members", "rows", "blocks", "twins", "unused", "twin_pairs", "free")
+    __slots__ = ("classes", "members", "rows", "twins", "unused", "twin_pairs", "free")
 
     def __init__(self, classes: tuple[int, ...]) -> None:
         """The state of the empty word, K_0: every color is unused."""
@@ -85,7 +85,7 @@ class Prefix:
         self.members: dict[int, list[int]] = {}
         for col, label in enumerate(classes):
             self.members.setdefault(label, []).append(col)
-        self.rows, self.blocks, self.twins = [], [], []
+        self.rows, self.twins = [], []
         self._pair(list(self.members.values()))
 
     def child(self, row) -> Prefix:
@@ -93,7 +93,6 @@ class Prefix:
         state = Prefix.__new__(Prefix)
         state.classes, state.members = self.classes, self.members
         state.rows, state.twins = self.joined(row)
-        state.blocks = self.blocks + [bytes(row)]
         state._pair([[col for col in cols if col not in row] for cols in self.unused])
         return state
 
@@ -102,7 +101,7 @@ class Prefix:
         self.twin_pairs = [pair for twins in self.twins for pair in zip(twins, twins[1:])]
         self.free = [pair for cols in unused for pair in zip(cols, cols[1:])]
 
-    def joined(self, block) -> tuple[list[list[int]], list[list[int]]]:
+    def joined(self, block) -> tuple[list[bytes], list[list[int]]]:
         """Rows and twin classes once a new vertex joins with colors ``block``.
 
         Twins see every other vertex in the same colors.  Being twins is
@@ -110,8 +109,8 @@ class Prefix:
         new vertex joins at most one class, checked against its first member.
         """
         k = len(self.rows)
-        row = list(block)
-        rows = [r + [row[v]] for v, r in enumerate(self.rows)] + [row + [-1]]
+        row = bytes(block)
+        rows = [r + row[v : v + 1] for v, r in enumerate(self.rows)] + [row + b"\xff"]
         twins = []
         for old in self.twins:
             split: dict[int, list[int]] = {}
@@ -154,8 +153,8 @@ class Prefix:
         ``row[:k]``, so with the identity color map, which every class
         allows, the extended word is then not its orbit minimum.
         """
-        for k, block in enumerate(self.blocks):
-            if row[:k] < block:
+        for k, seen in enumerate(self.rows):
+            if row[:k] < seen[:k]:
                 return True
         return False
 

@@ -14,6 +14,8 @@ decimals, single spaces, LF terminators on every line.
 parts must partition 0..n-1.
 
 The JSON form of a coloring mirrors the ecg data with an explicit edge list.
+Its reader rejects what the text readers would: values that are not
+integers (``true``, ``2.9``) and an edge given twice.
 """
 
 from __future__ import annotations
@@ -147,14 +149,18 @@ def coloring_to_dict(ec: EdgeColoring) -> dict:
 
 def coloring_from_dict(data: dict) -> EdgeColoring:
     try:
-        n = int(data["n"])
-        c = int(data["c"])
-        triples = [(int(u), int(v), int(col)) for u, v, col in data["edges"]]
+        n, c = data["n"], data["c"]
+        triples = [(u, v, col) for u, v, col in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad coloring record: {exc}") from exc
+    # int() would read JSON true as 1 and 2.9 as 2
+    if any(type(x) is not int for x in (n, c, *(value for edge in triples for value in edge))):
+        raise ValueError("bad coloring record: a value is not an integer")
     check_graph_order(n)
-    host = graph_from_edges(n, [(u, v) for u, v, _ in triples])
-    return coloring_from_map(host, c, {(u, v): col for u, v, col in triples})
+    colors = {(min(u, v), max(u, v)): col for u, v, col in triples}
+    if len(colors) < len(triples):
+        raise ValueError("bad coloring record: an edge is given twice")
+    return coloring_from_map(graph_from_edges(n, colors), c, colors)
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,8 @@ row filter, and the levels from the target on are complete.
 classes cannot reach order r, so a target of r could prune them away, and
 order r is the plain extension of the complete critical level.
 
-The symmetry group is given as color classes (see ``canon.Prefix``):
-the target sizes for the verification entry points, one shared class for
+The symmetry group is one tuple of color classes, one label per color (see
+``canon.Prefix``): the sizes n_i in the free search, one shared class for
 plain color enumeration, and one class per color for graph enumeration.
 Canonicity is decided by a backtracking search, so no order limit comes
 from the canonicity test; the order guard bounds the running time.
@@ -249,8 +249,8 @@ def _can_hit(slack: list[int], more: int) -> bool:
     )
 
 
-def _extendable(ext: Extension, m: int, more: int = 1) -> Callable[[bytes], bool]:
-    """Row filter: can the word still gain ``more`` vertices after ``row``?
+def _extendable(ext: Extension, more: int) -> Callable[[bytes], bool]:
+    """Row filter: can the K_m word still gain ``more`` vertices after ``row``?
 
     A row lowers slack_i by one exactly when it uses color i in D_i, so the
     verdicts of :func:`_can_reach` and :func:`_can_hit` are kept per set of
@@ -262,7 +262,7 @@ def _extendable(ext: Extension, m: int, more: int = 1) -> Callable[[bytes], bool
     """
     verdicts: dict[int, bool | None] = {}
     grown: dict[tuple[int, int], int] = {}
-    everyone = (1 << (m + 1)) - 1
+    everyone = (1 << (len(ext.in_d) + 1)) - 1
 
     def keep(row: bytes) -> bool:
         hit = _raised(ext.in_d, row)
@@ -288,35 +288,32 @@ def _extendable(ext: Extension, m: int, more: int = 1) -> Callable[[bytes], bool
 def _extend_representative(
     rep: tuple[tuple[Prefix, Extension | None], bytes],
     m: int,
-    c: int,
-    sizes: tuple[int, ...] | None,
     target: int | None = None,
 ) -> tuple[tuple[Prefix, Extension | None] | None, list[bytes]]:
     """Canonical words of K_{m+1} whose K_m prefix is ``word``; ``rep`` is
-    the word with its parent's state, a :class:`Prefix` and, with
-    ``sizes``, an :class:`Extension`.  The word's own state is its parent's
-    plus its last block, and comes back with the words when there are any.
+    the word with its parent's state, a :class:`Prefix` and, in the free
+    search, an :class:`Extension`, else None.  The word's own state is its
+    parent's plus its last block, and comes back with any words.
 
-    With ``sizes`` given, each edge to the new vertex ranges over the
-    allowed colors of :func:`extension_state`, so every candidate row is
-    free; otherwise over all ``c`` colors.  Rows come in lexicographic
-    order.  The prefix state drops the rows a symmetry of the word, or
-    moving the new vertex earlier, makes smaller, and
-    ``is_canonical(prefix, row)`` tests each remaining row;
-    only an accepted row is joined to the word.  While ``target`` is one or
-    more orders away, the row filter of :func:`_extendable` runs between
-    the two.
+    In the free search each edge to the new vertex ranges over the allowed
+    colors of :func:`extension_state` for the sizes ``prefix.classes``, so
+    every candidate row is free; otherwise over all colors.  Rows come in
+    lexicographic order.  The prefix state drops the rows a symmetry of the
+    word, or moving the new vertex earlier, makes smaller, and
+    ``is_canonical(prefix, row)`` tests each remaining row; only an accepted
+    row is joined to the word.  While ``target`` is one or more orders away,
+    the row filter of :func:`_extendable` runs between the two.
     """
     (parent, parent_ext), word = rep
     prefix = parent.child(word[(m - 1) * (m - 2) // 2 :])
     ext = keep = None
-    if sizes is None:
-        rows = map(bytes, product(range(c), repeat=m))
+    if parent_ext is None:
+        rows = map(bytes, product(range(len(prefix.classes)), repeat=m))
     else:
-        ext = extension_state(word, m, sizes, parent_ext)
+        ext = extension_state(word, m, prefix.classes, parent_ext)
         rows = map(bytes, product(*ext.allowed))
         if target is not None and target > m + 1:
-            keep = _extendable(ext, m, target - m - 1)
+            keep = _extendable(ext, target - m - 1)
     out = []
     for row in rows:
         if prefix.has_smaller_swap(row) or prefix.has_smaller_insertion(row):
@@ -330,10 +327,9 @@ def _extend_representative(
 
 def _generate_levels(
     n: int,
-    c: int,
-    *,
-    sizes: tuple[int, ...] | None,
     classes: tuple[int, ...],
+    *,
+    free: bool = False,
     target: int | None = None,
     jobs: int = 1,
     progress: Progress | None = None,
@@ -343,20 +339,20 @@ def _generate_levels(
     ``levels[m]`` lists the canonical words of order m in increasing
     lexicographic order, under vertex permutations and the color
     permutations that keep each color inside its ``classes`` label.  With
-    ``sizes`` set, only free colorings survive; with ``target`` set as well,
-    only those that pass the row filter for order ``target``, so the
-    lists are complete from order ``target`` on.
+    ``free`` set, the labels are the sizes n_i and only free colorings
+    survive; with ``target`` as well, only those that pass the row filter
+    for order ``target``, so the lists are complete from that order on.
 
     Each word of the level being extended travels, also to a worker
     process, with its parent's state, which only representatives with
     children pass on.
     """
     levels: list[list[bytes]] = [[b""], [b""]][: n + 1]  # K_0 and K_1: no edges
-    root = Prefix(classes), None if sizes is None else extension_state(b"", 0, sizes)
+    root = Prefix(classes), extension_state(b"", 0, classes) if free else None
     reps = [(root, b"")]  # levels[m], each word with its parent's state
     workers = min(jobs, os.cpu_count() or 1)
     for m in range(1, n):
-        extend = partial(_extend_representative, m=m, c=c, sizes=sizes, target=target)
+        extend = partial(_extend_representative, m=m, target=target)
         if workers > 1 and len(reps) > 2 * workers:
             from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
@@ -411,7 +407,7 @@ def enumerate_colorings(
     if params is not None and params.c != c:
         raise ValueError("params color count must match c")
     classes = params.sizes if params is not None else (0,) * c
-    levels = _generate_levels(n, c, sizes=None, classes=classes, jobs=jobs)
+    levels = _generate_levels(n, classes, jobs=jobs)
     words = levels[n]
     if visitor is not None:
         for word in words:
@@ -429,9 +425,7 @@ def free_coloring_classes(
 ) -> list[EdgeColoring]:
     """All free colorings of K_order up to vertex/color symmetry (target ``order``)."""
     _check_guard(order, guard)
-    levels = _generate_levels(
-        order, p.c, sizes=p.sizes, classes=p.sizes, target=order, jobs=jobs, progress=progress
-    )
+    levels = _generate_levels(order, p.sizes, free=True, target=order, jobs=jobs, progress=progress)
     return [_coloring_from_word(w, order, p.c) for w in levels[order]]
 
 
@@ -487,9 +481,7 @@ def verify_ramsey_exhaustive(
     """
     r = ramsey_value(p)
     _check_guard(r, guard)
-    levels = _generate_levels(
-        r, p.c, sizes=p.sizes, classes=p.sizes, target=r - 1, jobs=jobs, progress=progress
-    )
+    levels = _generate_levels(r, p.sizes, free=True, target=r - 1, jobs=jobs, progress=progress)
     critical = [_coloring_from_word(w, r - 1, p.c) for w in levels[r - 1]]
     return _report(p, r, len(levels[r]), critical)
 
@@ -512,7 +504,7 @@ def enumerate_graphs(
     trivial, so the coloring engine enumerates isomorphism classes directly.
     """
     _check_guard(n, guard)
-    levels = _generate_levels(n, 2, sizes=None, classes=(0, 1), jobs=jobs)
+    levels = _generate_levels(n, (0, 1), jobs=jobs)
     out = []
     pairs = edge_list(n)
     for word in levels[n]:

@@ -15,7 +15,7 @@ size as V_1, independently of the forced-V_1 argument of
 
 ``insertion_makes_smaller`` builds each image of an extended word whose new
 vertex moves to an earlier position as a whole word, independently of the
-blocks ``matching_ramsey.canon.Prefix`` keeps.
+color rows ``matching_ramsey.canon.Prefix`` keeps.
 
 ``min_image`` computes an orbit minimum by its own backtracking search,
 without ``matching_ramsey.canon``, for orders the brute-force

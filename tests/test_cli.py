@@ -327,6 +327,23 @@ def test_coloring_verbs_reject_a_wrong_color_count(capsys, tmp_path, verb, rows)
     assert err == "error: coloring has 3 colors, parameters expect 2\n"
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"n": 2, "c": 2, "edges": [[0, 1, 1], [1, 0, 2]]},
+        {"n": True, "c": 2, "edges": []},
+        {"n": 2, "c": 2.9, "edges": [[0, 1, 1]]},
+    ],
+    ids=["repeated-edge", "n-true", "c-float"],
+)
+def test_free_check_rejects_a_json_coloring_the_text_readers_would(capsys, tmp_path, record):
+    # read with its last color winning, the repeated edge would be FREE nu=[0,1]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run(capsys, "free-check", str(path), "--params", "2", "2")
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_free_check_with_sorted_sizes(capsys, tmp_path):
     path = tmp_path / "k4.ecg"
     path.write_text(K4_TWO_COLORS)

@@ -88,6 +88,31 @@ def test_json_round_trip():
         coloring_from_dict({"n": 2, "c": 1})
 
 
+@pytest.mark.parametrize(
+    "edges", [[[0, 1, 1], [1, 0, 2]], [[0, 1, 1], [0, 1, 1]]], ids=["reversed", "same"]
+)
+def test_json_rejects_a_repeated_edge(edges):
+    # as parse_adjlist does; taking the last color would hide the first
+    with pytest.raises(ValueError, match="given twice"):
+        coloring_from_dict({"n": 2, "c": 2, "edges": edges})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": True, "c": 2, "edges": []},
+        {"n": 2, "c": 2.9, "edges": []},
+        {"n": 2, "c": 2, "edges": [[0, 1.0, 1]]},
+        {"n": 2, "c": 2, "edges": [[0, 1, "1"]]},
+        {"n": 2, "c": 2, "edges": [[0, 1, False]]},
+    ],
+    ids=["n-true", "c-float", "endpoint-float", "color-string", "color-false"],
+)
+def test_json_rejects_values_that_are_not_integers(data):
+    with pytest.raises(ValueError, match="not an integer"):
+        coloring_from_dict(data)
+
+
 def test_dot_output():
     ec = construct_critical(MatchParams((2, 2)))
     dot = format_dot(ec)

@@ -179,7 +179,7 @@ def test_targeted_level_counts(sizes, counts):
     # filter thins up to level r - 2
     p = MatchParams(sizes)
     r = ramsey_value(p)
-    levels = _generate_levels(r, p.c, sizes=p.sizes, classes=p.sizes, target=r - 1)
+    levels = _generate_levels(r, p.sizes, free=True, target=r - 1)
     assert [len(level) for level in levels] == counts
 
 
@@ -237,7 +237,7 @@ def _targeted_levels(sizes):
     # the levels of verify's search, target r - 1, computed once per point
     p = MatchParams(sizes)
     n = ramsey_value(p) - 1
-    return _generate_levels(n, p.c, sizes=p.sizes, classes=p.sizes, target=n)
+    return _generate_levels(n, p.sizes, free=True, target=n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -248,7 +248,7 @@ def _reference_critical(sizes):
     p = MatchParams(sizes)
     n = ramsey_value(p) - 1
     if sizes not in PINNED_CRITICAL:
-        return _generate_levels(n, p.c, sizes=p.sizes, classes=p.sizes)[n]
+        return _generate_levels(n, p.sizes, free=True)[n]
     words = _targeted_levels(sizes)[n]
     count, digest = PINNED_CRITICAL[sizes]
     assert len(words) == count
@@ -307,10 +307,9 @@ def test_dead_vertex_rule_is_exact(sizes):
     p = MatchParams(sizes)
     n = ramsey_value(p) - 2
     dropped = 0
-    for word in _generate_levels(n, p.c, sizes=p.sizes, classes=p.sizes)[n]:
+    for word in _generate_levels(n, p.sizes, free=True)[n]:
         prefix, row = word[: -(n - 1)], word[-(n - 1):]
-        extendable = _extendable(extension_state(prefix, n - 1, p.sizes), n - 1)
-        dead = extendable is not None and not extendable(row)
+        dead = not _extendable(extension_state(prefix, n - 1, p.sizes), 1)(row)
         free_child = any(
             is_free(_coloring_from_word(word + bytes(nxt), n + 1, p.c), p)
             for nxt in product(range(p.c), repeat=n)
@@ -375,14 +374,14 @@ def test_reused_search_state_is_the_fresh_state(monkeypatch, sizes):
         ext = extension_state(word, m, p.sizes)
         assert_state_is_the_definition(ext, word, m, p.sizes)
         if kw["target"] - m - 1 == 1:
-            keep = _extendable(ext, m)
+            keep = _extendable(ext, 1)
             for row in map(bytes, product(*ext.allowed)):
-                assert (keep is None or keep(row)) == all(extension_state(word + row, m + 1, p.sizes).allowed)
+                assert keep(row) == all(extension_state(word + row, m + 1, p.sizes).allowed)
         checked[m] = checked.get(m, 0) + 1
         return state, out
 
     monkeypatch.setattr(search, "_extend_representative", extend_spy)
-    levels = _generate_levels(r, p.c, sizes=p.sizes, classes=p.sizes, target=r - 1)
+    levels = _generate_levels(r, p.sizes, free=True, target=r - 1)
     assert checked == {m: len(levels[m]) for m in range(1, r)}
 
 
@@ -490,32 +489,52 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     monkeypatch.setattr("matching_ramsey.search.os.cpu_count", lambda: 2)
     p = MatchParams((3, 3, 2))
-    serial = _generate_levels(8, p.c, sizes=p.sizes, classes=p.sizes)
-    assert _generate_levels(8, p.c, sizes=p.sizes, classes=p.sizes, jobs=1000) == serial
+    serial = _generate_levels(8, p.sizes, free=True)
+    assert _generate_levels(8, p.sizes, free=True, jobs=1000) == serial
     assert sizes and set(sizes) == {2}
 
 
-def test_a_real_pool_gives_the_serial_levels(monkeypatch):
-    # verify's search at (3,3,2) has levels of 5, 15, 72, 35 and 6 words, so
-    # two real worker processes extend them: each word's parent state, its
-    # prefix state and per class a matching and D, is pickled to a worker,
-    # and each word's own state comes back
+@pytest.fixture
+def pools(monkeypatch):
+    # the size of every real process pool the search starts, with two CPUs
+    # reported whatever the host has
     import concurrent.futures
 
-    pools = []
+    sizes = []
 
     class CountedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
-            pools.append(max_workers)
+            sizes.append(max_workers)
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     monkeypatch.setattr("matching_ramsey.search.os.cpu_count", lambda: 2)
+    return sizes
+
+
+def test_a_real_pool_gives_the_serial_levels(pools):
+    # verify's search at (3,3,2) has levels of 5, 15, 72, 35 and 6 words, so
+    # two real worker processes extend them: each word's parent state, its
+    # prefix state and per class a matching and D, is pickled to a worker,
+    # and each word's own state comes back
     p = MatchParams((3, 3, 2))
     r = ramsey_value(p)
-    serial = _generate_levels(r, p.c, sizes=p.sizes, classes=p.sizes, target=r - 1)
-    assert _generate_levels(r, p.c, sizes=p.sizes, classes=p.sizes, target=r - 1, jobs=2) == serial
+    serial = _generate_levels(r, p.sizes, free=True, target=r - 1)
+    assert _generate_levels(r, p.sizes, free=True, target=r - 1, jobs=2) == serial
     assert pools == [2] * 5
+
+
+def test_a_real_pool_gives_the_serial_enumerations(pools):
+    # plain enumeration sends each word with a (Prefix, None) state to a
+    # worker, and that state alone tells it to try every color
+    serial_graphs = enumerate_graphs(7)
+    assert enumerate_graphs(7, jobs=2) == serial_graphs
+    serial_colorings = []
+    enumerate_colorings(5, 3, serial_colorings.append)
+    pooled = []
+    assert enumerate_colorings(5, 3, pooled.append, jobs=2) == len(serial_colorings)
+    assert pooled == serial_colorings
+    assert pools and set(pools) == {2}
 
 
 @pytest.mark.parametrize(
@@ -537,7 +556,7 @@ def test_representative_lists_are_pinned(n, c, sizes, classes, digest):
     # with a matching test per (vertex, color); the last case of those is
     # every graph of order <= 7.  The other three were measured before the
     # twin and unused-color row filter, whose color swaps they exercise.
-    levels = _generate_levels(n, c, sizes=sizes, classes=classes)
+    levels = _generate_levels(n, classes, free=sizes is not None)
     assert hashlib.sha256(repr(levels).encode()).hexdigest() == digest
 
 
