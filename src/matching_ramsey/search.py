@@ -32,10 +32,13 @@ whose full word is again canonical.  Four prunes keep the tree small:
   C(t, 2) > sum_i ex(t, s_i) for some 2 <= t <= more (ex is the Erdos-Gallai
   maximum, Acta Math. Acad. Sci. Hungar. 10, 1959), or when some vertex lies
   in every class's D and each class i has s_i = 0 or, for some such t,
-  C(t, 2) > sum_{j != i} ex(t, s_j) + ex(t - 1, s_i - 1) + t - 1.  With one
-  vertex missing the second test is exact: W has no free one-vertex
-  extension.  No Ramsey value and not the structure theorem is used, so
-  nothing the filter prunes assumes what the search proves;
+  C(t, 2) > sum_{j != i} ex(t, s_j) + ex(t - 1, s_i - 1) + t - 1, or when,
+  with S = sum_i s_i and S + 1 <= more, the vertices in every class's D
+  hold S + 1 that one maximum matching of each class with s_i >= 1 misses
+  (the multi-hit test).  With one vertex missing the second test is exact:
+  W has no free one-vertex extension.  No Ramsey value and not the
+  structure theorem is used, so nothing the filter prunes assumes what the
+  search proves;
 * candidate extensions that are not lex-minimal in their orbit are discarded
   (and with them their entire subtree, since canonicity is prefix-inherited).
 
@@ -66,13 +69,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, NamedTuple
 
 from .canon import Prefix, edge_list, is_canonical
 from .coloring import EdgeColoring, MatchParams, StructureWitness, find_structure, is_free
 from .graph import Graph, bits, complete_graph, graph_from_edges, is_connected
-from .matching import _augment, _mate_size, forest_d
+from .matching import _augment, _mate_size, forest_d, has_k_matching_on_masks
 
 DEFAULT_ORDER_GUARD = 8
 
@@ -249,38 +252,68 @@ def _can_hit(slack: list[int], more: int) -> bool:
     )
 
 
+def _missable(state: tuple, q: tuple[int, ...]) -> bool:
+    """Does some maximum matching of the class (masks, matching, D) miss
+    every vertex of ``q``?"""
+    masks, mate, _ = state
+    if all(mate[u] < 0 for u in q):
+        return True
+    gone = sum(1 << u for u in q)
+    rows = [0 if gone >> u & 1 else r & ~gone for u, r in enumerate(masks)]
+    return has_k_matching_on_masks(rows, len(masks), _mate_size(mate))
+
+
 def _extendable(ext: Extension, more: int) -> Callable[[bytes], bool]:
     """Row filter: can the K_m word still gain ``more`` vertices after ``row``?
 
     A row lowers slack_i by one exactly when it uses color i in D_i, so the
     verdicts of :func:`_can_reach` and :func:`_can_hit` are kept per set of
-    raised classes.  A row that passes the first and fails the second is
-    dropped exactly when some vertex lies in every class's new D, each one
-    :func:`_grown` step, kept per class and neighbour mask.  With one vertex
-    missing this is exact: the word then has no free one-vertex extension
-    (the rule of :func:`extension_state`, one order up).
+    raised classes, with S + 1, S the sum of the new slacks, and the loose
+    classes L, those with slack_i >= 1.  The new states of the classes, each
+    one :func:`_grown` step, are kept per class and neighbour mask, and Z is
+    the set of vertices in every class's new D.  A row that passes the first
+    verdict and fails the second is dropped exactly when Z is not empty.
+    With one vertex missing this is exact: the word then has no free
+    one-vertex extension (the rule of :func:`extension_state`, one order up).
+
+    A row that passes both is dropped when S + 1 <= ``more`` and Z holds a
+    set Q of S + 1 vertices that one maximum matching M_i of each class i in
+    L misses.  Proof: give each u in Q its own new vertex x_u.  A color j
+    with slack_j = 0 on x_u u raises nu_j past n_j - 1, as u lies in D_j
+    (the lemma of :func:`extension_state`), so every x_u u has a color in L.
+    These S + 1 edges share no vertex, so some i in L gets at least
+    slack_i + 1 of them, and with M_i, which misses Q, they form a matching
+    of size nu_i + slack_i + 1 = n_i in class i.
     """
-    verdicts: dict[int, bool | None] = {}
-    grown: dict[tuple[int, int], int] = {}
+    verdicts: dict[int, tuple[bool | None, int, list[int]]] = {}
+    grown: dict[tuple[int, int], tuple[list[int], list[int], int]] = {}
     everyone = (1 << (len(ext.in_d) + 1)) - 1
 
     def keep(row: bytes) -> bool:
         hit = _raised(ext.in_d, row)
         if hit not in verdicts:
             slack = [s - (hit >> i & 1) for i, s in enumerate(ext.slack)]
-            # True keeps the row, False drops it, None leaves it to the new D sets
-            verdicts[hit] = _can_reach(slack, more) and (_can_hit(slack, more) or None)
-        if verdicts[hit] is not None:
-            return verdicts[hit]
-        dead = everyone
+            # True keeps the row unless the S + 1 vertices of Q exist, False
+            # drops it, None leaves it to Z alone
+            verdict = _can_reach(slack, more) and (_can_hit(slack, more) or None)
+            verdicts[hit] = verdict, sum(slack) + 1, [i for i, s in enumerate(slack) if s]
+        verdict, hits, loose = verdicts[hit]
+        if verdict is False or verdict and hits > more:
+            return verdict
+        states, dead = [], everyone
         for key in enumerate(_neighbours(row, len(ext.states))):
-            d = grown.get(key)
-            if d is None:
-                d = grown[key] = _grown(ext.states[key[0]], key[1])[2]
-            dead &= d
+            state = grown.get(key)
+            if state is None:
+                state = grown[key] = _grown(ext.states[key[0]], key[1])
+            states.append(state)
+            dead &= state[2]
             if not dead:
                 return True
-        return False
+        if verdict is None:
+            return False
+        return not any(
+            all(_missable(states[i], q) for i in loose) for q in combinations(bits(dead), hits)
+        )
 
     return keep
 

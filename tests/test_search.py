@@ -27,12 +27,14 @@ from matching_ramsey.canon import canonical_form, edge_list
 from matching_ramsey.graph import Graph
 from matching_ramsey.matching import _matching_on_masks, matching_number, missed_mask
 from matching_ramsey.search import (
+    _can_hit,
     _can_reach,
     _coloring_from_word,
     _ex,
     _extendable,
     _generate_levels,
     _grown,
+    _raised,
     _word_from_coloring,
     extension_state,
 )
@@ -167,11 +169,11 @@ def test_free_class_counts_per_level(sizes, counts):
 @pytest.mark.parametrize(
     "sizes,counts",
     [
-        ((3, 3, 2), [1, 1, 2, 5, 15, 35, 35, 6, 3, 0]),
-        ((2, 2, 2, 2, 2), [1, 1, 1, 3, 8, 11, 6, 4, 0]),
-        ((4, 3), [1, 1, 2, 4, 6, 11, 9, 9, 2, 1, 0]),
-        ((3, 2, 2), [1, 1, 2, 5, 9, 9, 2, 1, 0]),
-        ((4, 3, 2), [1, 1, 3, 9, 28, 46, 77, 61, 51, 6, 3, 0]),
+        ((3, 3, 2), [1, 1, 2, 5, 15, 29, 8, 6, 3, 0]),
+        ((2, 2, 2, 2, 2), [1, 1, 1, 3, 8, 5, 6, 4, 0]),
+        ((4, 3), [1, 1, 2, 4, 6, 8, 8, 3, 2, 1, 0]),
+        ((3, 2, 2), [1, 1, 2, 5, 8, 3, 2, 1, 0]),
+        ((4, 3, 2), [1, 1, 3, 9, 28, 44, 56, 46, 8, 6, 3, 0]),
     ],
 )
 def test_targeted_level_counts(sizes, counts):
@@ -300,6 +302,77 @@ def test_every_induced_subcoloring_of_a_critical_class_survives(sizes):
         floor = {min_image(deleted(w, m, v), m - 1, p.sizes) for w in floor for v in range(m)}
 
 
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        (3, 3, 2), (4, 3), (4, 3, 2), (2, 2, 2, 2, 2), (3, 2, 2), (2, 2, 2, 2), (3, 3), (4, 2),
+        (2, 2, 2, 2, 2, 2), (3, 3, 3),
+        slow_param((4, 4, 2)), slow_param((3, 3, 3, 2)), slow_param((3, 3, 2, 2, 2)),
+    ],
+)
+def test_two_missing_vertices_leave_only_the_floor(sizes):
+    # the strength of the row filter: one and two orders below the target T
+    # verify's search keeps exactly the canonical induced subcolorings of
+    # the critical list, no word that fails to extend
+    p = MatchParams(sizes)
+    n = ramsey_value(p) - 1
+    levels = _targeted_levels(sizes)
+    floor = set(_reference_critical(sizes))
+    for m in (n, n - 1):
+        floor = {min_image(deleted(w, m, v), m - 1, p.sizes) for w in floor for v in range(m)}
+        assert set(levels[m - 1]) == floor, m - 1
+
+
+def _has_free_extension(word, m, sizes, ext, more):
+    # some chain of ``more`` free rows on the K_m word, no row filter
+    if not more:
+        return True
+    for row in map(bytes, product(*ext.allowed)):
+        grown = extension_state(word + row, m + 1, sizes, ext)
+        if _has_free_extension(word + row, m + 1, sizes, grown, more - 1):
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "sizes", [(3, 3, 2), (2, 2, 2, 2, 2), (4, 3), (3, 2, 2), (2, 2, 2, 2), (3, 3)]
+)
+def test_multi_hit_drops_have_no_free_extension(monkeypatch, sizes):
+    # every row that verify's search drops by the multi-hit test alone (it
+    # passes the Erdos-Gallai bound and the hit rule): the word plus the row
+    # has no free extension by the vertices still missing to the target
+    p = MatchParams(sizes)
+    r = ramsey_value(p)
+    real_extend, real_extendable = search._extend_representative, search._extendable
+    words, dropped = {}, []
+
+    def extend_spy(rep, m, **kw):
+        words["current"] = rep[1], m
+        return real_extend(rep, m, **kw)
+
+    def extendable_spy(ext, more):
+        keep = real_extendable(ext, more)
+        word, m = words["current"]
+
+        def spied(row):
+            hit = _raised(ext.in_d, row)
+            slack = [s - (hit >> i & 1) for i, s in enumerate(ext.slack)]
+            kept = keep(row)
+            if not kept and _can_reach(slack, more) and _can_hit(slack, more):
+                dropped.append((word, m, ext, row, more))
+            return kept
+
+        return spied
+
+    monkeypatch.setattr(search, "_extend_representative", extend_spy)
+    monkeypatch.setattr(search, "_extendable", extendable_spy)
+    _generate_levels(r, p.sizes, free=True, target=r - 1)
+    for word, m, ext, row, more in dropped:
+        grown = extension_state(word + row, m + 1, p.sizes, ext)
+        assert not _has_free_extension(word + row, m + 1, p.sizes, grown, more), (word, row)
+    assert dropped
+
+
 @pytest.mark.parametrize("sizes", [(2, 2, 2, 2), (3, 2, 2), (4, 3)])
 def test_dead_vertex_rule_is_exact(sizes):
     # on every unpruned word of order r - 2, the filter drops the word's
@@ -387,7 +460,8 @@ def test_reused_search_state_is_the_fresh_state(monkeypatch, sizes):
 
 @pytest.mark.parametrize(
     "sizes,accepts,rejects",
-    [((3, 3, 2), 101, 19), ((2, 2, 2, 2, 2), 33, 74), ((4, 3), 44, 0)],
+    [((3, 3, 2), 68, 15), ((2, 2, 2, 2, 2), 27, 57), ((4, 3), 34, 0)],
+    ids=["3-3-2", "2-2-2-2-2", "4-3"],
 )
 def test_canonicity_work_is_pinned(monkeypatch, sizes, accepts, rejects):
     # is_canonical's verdicts in one verify call: the accepts are the words
@@ -513,7 +587,7 @@ def pools(monkeypatch):
 
 
 def test_a_real_pool_gives_the_serial_levels(pools):
-    # verify's search at (3,3,2) has levels of 5, 15, 72, 35 and 6 words, so
+    # verify's search at (3,3,2) has levels of 5, 15, 29, 8 and 6 words, so
     # two real worker processes extend them: each word's parent state, its
     # prefix state and per class a matching and D, is pickled to a worker,
     # and each word's own state comes back
@@ -538,25 +612,25 @@ def test_a_real_pool_gives_the_serial_enumerations(pools):
 
 
 @pytest.mark.parametrize(
-    "n,c,sizes,classes,digest",
+    "n,classes,free,digest",
     [
-        (9, 3, (3, 3, 2), (3, 3, 2), "636db7c92ec8d226b34dd55cc2eed87e559862bdaa57c526baafa9ab26fec9d6"),
-        (8, 5, (2, 2, 2, 2, 2), (2, 2, 2, 2, 2), "2c04e4f3ad9824763611329547c847b743ad9e1b8710a26714a4233713441e06"),
-        (10, 2, (4, 3), (4, 3), "7f72851096a540b1c04e3872eb5db06f809823464ececf63e2cddfaff963f3ff"),
-        (7, 2, None, (0, 1), "39728918fe5cbbeba51f8432cec1251272b09801b8860cbba13671ab7ce8673f"),
-        (5, 4, None, (0, 0, 0, 0), "d70a003083e99e290c4ae900629bf6079a8b7166bcdb94a09f9c8d20102cc52a"),
-        (5, 3, None, (0, 0, 1), "0ae306f9382066431122e87fd368804b7318a3bfc8f5f69779cfca14a2d98f9c"),
-        (6, 4, (2, 2, 2, 2), (2, 2, 2, 2), "f5f640364ad600dcc39821b7859f2f491fd8f85a55278e6fc48add078914923c"),
+        (9, (3, 3, 2), True, "636db7c92ec8d226b34dd55cc2eed87e559862bdaa57c526baafa9ab26fec9d6"),
+        (8, (2, 2, 2, 2, 2), True, "2c04e4f3ad9824763611329547c847b743ad9e1b8710a26714a4233713441e06"),
+        (10, (4, 3), True, "7f72851096a540b1c04e3872eb5db06f809823464ececf63e2cddfaff963f3ff"),
+        (7, (0, 1), False, "39728918fe5cbbeba51f8432cec1251272b09801b8860cbba13671ab7ce8673f"),
+        (5, (0, 0, 0, 0), False, "d70a003083e99e290c4ae900629bf6079a8b7166bcdb94a09f9c8d20102cc52a"),
+        (5, (0, 0, 1), False, "0ae306f9382066431122e87fd368804b7318a3bfc8f5f69779cfca14a2d98f9c"),
+        (6, (2, 2, 2, 2), True, "f5f640364ad600dcc39821b7859f2f491fd8f85a55278e6fc48add078914923c"),
     ],
     ids=["3-3-2", "2-2-2-2-2", "4-3", "graphs-7", "colorings-5-4", "colorings-5-3-labels-0-0-1", "2-2-2-2"],
 )
-def test_representative_lists_are_pinned(n, c, sizes, classes, digest):
+def test_representative_lists_are_pinned(n, classes, free, digest):
     # sha256 of the representative lists at every order 0..n.  The first four
     # were measured with the earlier engine that pruned rows vertex by vertex
     # with a matching test per (vertex, color); the last case of those is
     # every graph of order <= 7.  The other three were measured before the
     # twin and unused-color row filter, whose color swaps they exercise.
-    levels = _generate_levels(n, classes, free=sizes is not None)
+    levels = _generate_levels(n, classes, free=free)
     assert hashlib.sha256(repr(levels).encode()).hexdigest() == digest
 
 
