@@ -13,8 +13,7 @@ freeness squeeze the space; the naive search space at (3,3) would be
 import sys
 import time
 
-from matching_ramsey import MatchParams, verify_ramsey_exhaustive
-from matching_ramsey.search import _generate_levels
+from matching_ramsey import MatchParams, free_coloring_classes, verify_ramsey_exhaustive
 
 for sizes in [(2, 2), (3, 2), (2, 2, 2), (3, 3)]:
     p = MatchParams(sizes)
@@ -28,8 +27,8 @@ for sizes in [(2, 2), (3, 2), (2, 2, 2), (3, 3)]:
 print()
 print("free class counts by order for (3, 3):")
 p = MatchParams((3, 3))
-levels = _generate_levels(8, p.sizes, free=True)
-for order, classes in enumerate(levels):
-    print(f"  K_{order}: {len(classes)}")
-if len(levels[8]) != 0:
+counts = [len(free_coloring_classes(p, order)) for order in range(9)]
+for order, count in enumerate(counts):
+    print(f"  K_{order}: {count}")
+if counts[8] != 0:
     sys.exit(1)

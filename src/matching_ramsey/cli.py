@@ -77,13 +77,10 @@ def _check_writable(output: str) -> None:
 
 
 def _render_coloring(ec, fmt: str) -> str:
-    if fmt == "ecg":
-        return format_ecg(ec)
+    """``fmt`` is one of argparse's ``--format`` choices: ecg, json or dot."""
     if fmt == "json":
         return json.dumps(coloring_to_dict(ec), indent=2) + "\n"
-    if fmt == "dot":
-        return format_dot(ec)
-    raise ValueError(f"unknown format {fmt!r}")
+    return format_dot(ec) if fmt == "dot" else format_ecg(ec)
 
 
 def _positive_int(text: str) -> int:

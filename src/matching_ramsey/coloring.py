@@ -41,7 +41,8 @@ class MatchParams:
     def __post_init__(self) -> None:
         if not self.sizes:
             raise ValueError("at least one color is required")
-        if any(not isinstance(s, int) or s < 1 for s in self.sizes):
+        # isinstance(True, int) holds, and a bool size would be written as JSON true
+        if any(type(s) is not int or s < 1 for s in self.sizes):
             raise ValueError("matching sizes must be positive integers")
         if any(self.sizes[i] < self.sizes[i + 1] for i in range(len(self.sizes) - 1)):
             raise ValueError("matching sizes must be non-increasing")

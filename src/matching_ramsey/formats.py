@@ -10,8 +10,9 @@ marking a non-edge of the host.  The parser rejects an order above
 ``MAX_GRAPH_ORDER`` from the header.  The writer is byte-exact: ASCII
 decimals, single spaces, LF terminators on every line.
 
-``partition``: one part per line, vertices as space-separated decimals; the
-parts must partition 0..n-1.
+``partition``: one part per line, vertices as space-separated decimals,
+none twice on a line; blank lines are skipped, and
+:func:`~matching_ramsey.graph.part_of` checks that the parts partition 0..n-1.
 
 The JSON form of a coloring mirrors the ecg data with an explicit edge list.
 Its reader rejects what the text readers would: values that are not
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from .canon import edge_index
 from .coloring import EdgeColoring, coloring_from_map
-from .graph import Graph, VertexSet, graph_from_edges
+from .graph import Graph, VertexSet, graph_from_edges, part_of
 
 # Largest graph order the parsers and the CLI's ``construct`` accept.
 # ``decompose`` of a dense random graph of order 400 takes about 15 s, one of
@@ -190,7 +191,6 @@ def format_partition(parts: list[VertexSet] | tuple[VertexSet, ...]) -> str:
 
 def parse_partition(text: str, n: int) -> list[VertexSet]:
     parts = []
-    seen: set[int] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -198,13 +198,9 @@ def parse_partition(text: str, n: int) -> list[VertexSet]:
             members = [int(tok) for tok in line.split()]
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad vertex token") from exc
-        for v in members:
-            if not 0 <= v < n:
-                raise ValueError(f"line {lineno}: vertex {v} out of range for n={n}")
-            if v in seen:
-                raise ValueError(f"line {lineno}: vertex {v} appears twice")
-            seen.add(v)
-        parts.append(frozenset(members))
-    if len(seen) != n:
-        raise ValueError("parts do not cover the vertex set")
+        part = frozenset(members)
+        if len(part) < len(members):
+            raise ValueError(f"line {lineno}: a vertex appears twice")
+        parts.append(part)
+    part_of(parts, n)
     return parts

@@ -46,8 +46,9 @@ The state these prunes read grows with the words.  Each word travels to
 the next level with its parent's state, a ``canon.Prefix`` and per class a
 maximum matching and its D, and its own state is that plus its last block.
 
-With a target, the levels below it keep only the classes that pass the
-row filter, and the levels from the target on are complete.
+A target order T selects the free search, and the levels below T keep
+only the classes that pass the row filter; the levels from T on are
+complete, so T = 0 gives the unfiltered free search.
 ``verify_ramsey_exhaustive`` therefore targets r - 1, not r: the critical
 classes cannot reach order r, so a target of r could prune them away, and
 order r is the plain extension of the complete critical level.
@@ -321,7 +322,7 @@ def _extendable(ext: Extension, more: int) -> Callable[[bytes], bool]:
 def _extend_representative(
     rep: tuple[tuple[Prefix, Extension | None], bytes],
     m: int,
-    target: int | None = None,
+    target: int | None,
 ) -> tuple[tuple[Prefix, Extension | None] | None, list[bytes]]:
     """Canonical words of K_{m+1} whose K_m prefix is ``word``; ``rep`` is
     the word with its parent's state, a :class:`Prefix` and, in the free
@@ -334,7 +335,7 @@ def _extend_representative(
     lexicographic order.  The prefix state drops the rows a symmetry of the
     word, or moving the new vertex earlier, makes smaller, and
     ``is_canonical(prefix, row)`` tests each remaining row; only an accepted
-    row is joined to the word.  While ``target`` is one or more orders away,
+    row is joined to the word.  In the free search, while ``target`` > m + 1,
     the row filter of :func:`_extendable` runs between the two.
     """
     (parent, parent_ext), word = rep
@@ -345,7 +346,7 @@ def _extend_representative(
     else:
         ext = extension_state(word, m, prefix.classes, parent_ext)
         rows = map(bytes, product(*ext.allowed))
-        if target is not None and target > m + 1:
+        if target > m + 1:
             keep = _extendable(ext, target - m - 1)
     out = []
     for row in rows:
@@ -362,7 +363,6 @@ def _generate_levels(
     n: int,
     classes: tuple[int, ...],
     *,
-    free: bool = False,
     target: int | None = None,
     jobs: int = 1,
     progress: Progress | None = None,
@@ -372,16 +372,17 @@ def _generate_levels(
     ``levels[m]`` lists the canonical words of order m in increasing
     lexicographic order, under vertex permutations and the color
     permutations that keep each color inside its ``classes`` label.  With
-    ``free`` set, the labels are the sizes n_i and only free colorings
-    survive; with ``target`` as well, only those that pass the row filter
-    for order ``target``, so the lists are complete from that order on.
+    ``target`` None every coloring survives.  With a target order T the
+    labels are the sizes n_i, only free colorings survive, and below T only
+    those that pass the row filter for T: the lists are complete from T on,
+    so T = 0 gives the unfiltered free search.
 
     Each word of the level being extended travels, also to a worker
     process, with its parent's state, which only representatives with
     children pass on.
     """
     levels: list[list[bytes]] = [[b""], [b""]][: n + 1]  # K_0 and K_1: no edges
-    root = Prefix(classes), extension_state(b"", 0, classes) if free else None
+    root = Prefix(classes), None if target is None else extension_state(b"", 0, classes)
     reps = [(root, b"")]  # levels[m], each word with its parent's state
     workers = min(jobs, os.cpu_count() or 1)
     for m in range(1, n):
@@ -458,7 +459,7 @@ def free_coloring_classes(
 ) -> list[EdgeColoring]:
     """All free colorings of K_order up to vertex/color symmetry (target ``order``)."""
     _check_guard(order, guard)
-    levels = _generate_levels(order, p.sizes, free=True, target=order, jobs=jobs, progress=progress)
+    levels = _generate_levels(order, p.sizes, target=order, jobs=jobs, progress=progress)
     return [_coloring_from_word(w, order, p.c) for w in levels[order]]
 
 
@@ -514,7 +515,7 @@ def verify_ramsey_exhaustive(
     """
     r = ramsey_value(p)
     _check_guard(r, guard)
-    levels = _generate_levels(r, p.sizes, free=True, target=r - 1, jobs=jobs, progress=progress)
+    levels = _generate_levels(r, p.sizes, target=r - 1, jobs=jobs, progress=progress)
     critical = [_coloring_from_word(w, r - 1, p.c) for w in levels[r - 1]]
     return _report(p, r, len(levels[r]), critical)
 

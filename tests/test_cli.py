@@ -136,6 +136,49 @@ def test_contract_missing_cross_edge(capsys, tmp_path):
     assert code == 2 and "no host edge" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["0 1 4\n2 3\n", "0 1\n2 3\n1\n", "0 0 1\n2 3\n", "0 1\n2\n", "0 1\n2 z\n", "0 1\n1 2 3\n"],
+    ids=["out-of-range", "on-two-lines", "twice-on-one-line", "missing", "bad-token", "overlap"],
+)
+def test_contract_rejects_a_bad_partition(capsys, tmp_path, text):
+    src = tmp_path / "c.ecg"
+    run(capsys, "construct", "2", "2", "--output", str(src))
+    part = tmp_path / "part.txt"
+    part.write_text(text)
+    code, out, err = run(capsys, "contract", str(src), str(part))
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("4 x\n1 1 2\n1 2\n2\n", "bad header line"),
+        ("-1 2\n", "bad header values"),
+        ("4 0\n1 1 2\n1 2\n2\n", "bad header values"),
+        ("4 2\n1 1 2\n1 y\n2\n", "line 3: bad color"),
+    ],
+    ids=["header-token", "negative-order", "no-colors", "color-token"],
+)
+def test_free_check_rejects_a_bad_ecg(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.ecg"
+    path.write_text(text)
+    code, out, err = run(capsys, "free-check", str(path), "--params", "2", "2")
+    assert code == 2 and out == "" and err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [("four\n0 1\n", "bad vertex count line"), ("4\n0 x\n", "bad edge line")],
+    ids=["vertex-count", "edge-token"],
+)
+def test_decompose_rejects_a_bad_adjlist(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.adjlist"
+    path.write_text(text)
+    code, out, err = run(capsys, "decompose", str(path))
+    assert code == 2 and out == "" and err.startswith(f"error: {message}")
+
+
 def test_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, "free-check", str(tmp_path / "missing.ecg"), "--params", "2", "2")
     assert code == 2 and "cannot read" in err

@@ -49,6 +49,8 @@ def test_match_params_validation():
         MatchParams((2, 3))
     with pytest.raises(ValueError):
         MatchParams((2, 0))
+    with pytest.raises(ValueError):
+        MatchParams((True,))  # a bool is no size, though isinstance(True, int)
     assert MatchParams((3, 2, 2)).c == 3
     assert MatchParams((3, 2, 2)).critical_order == 7
 
@@ -162,6 +164,8 @@ def test_check_structure_rejects_bad_witness():
         check_structure(ec, p, StructureWitness((1, 2), (frozenset({0, 1, 2}), frozenset({2, 3}))))
     with pytest.raises(ValueError):
         check_structure(ec, p, StructureWitness((1, 1), (frozenset({0, 1, 2}), frozenset({3}))))
+    with pytest.raises(ValueError, match="one part per color"):
+        check_structure(ec, p, StructureWitness((1, 2), (frozenset(range(4)),)))
 
 
 def test_find_structure_examples():
@@ -245,6 +249,9 @@ def test_lift_matching():
     lifted = lift_matching(Matching(((0, 1),)), rep_map)
     assert lifted.size == 1 and is_valid_matching(ec.host, lifted)
     assert ec.color_of(*lifted.edges[0]) == contracted.color_of(0, 1)
+    # a representative map whose edges share a vertex cannot come from a partition
+    with pytest.raises(ValueError, match="not disjoint"):
+        lift_matching(Matching(((0, 1), (1, 2))), {(0, 1): (0, 2), (1, 2): (2, 4)})
 
 
 def test_lift_matching_monochromatic_pair():

@@ -133,6 +133,15 @@ def test_partition_round_trip_and_errors():
         parse_partition("0 9\n", 3)
     with pytest.raises(ValueError):
         parse_partition("0 x\n1 2\n", 3)
+    # blank lines are skipped; a vertex twice on one line is the reader's own
+    # error, while range, overlap and cover are graph.part_of's
+    assert parse_partition("0 2\n\n  \n1\n", 3) == [frozenset({0, 2}), frozenset({1})]
+    with pytest.raises(ValueError, match="line 2: bad vertex token"):
+        parse_partition("0 1\n2 y\n", 3)
+    with pytest.raises(ValueError, match="line 1: a vertex appears twice"):
+        parse_partition("0 0 1\n2\n", 3)
+    with pytest.raises(ValueError):
+        parse_partition("0 1\n2\n1\n", 3)  # a vertex on two lines
 
 
 def test_star_host_ecg_round_trip():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matching_ramsey import (
+    Matching,
     brute_force_matching_number,
     complete_graph,
     enumerate_graphs,
@@ -82,6 +83,14 @@ def test_oracle_equivalence_property(data):
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     g = graph_from_edges(n, edges)
     assert matching_number(g) == brute_force_matching_number(g)
+
+
+def test_is_valid_matching_rejects_non_matchings():
+    path = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert is_valid_matching(path, Matching(((0, 1), (2, 3))))
+    assert not is_valid_matching(path, Matching(((0, 2),)))  # not an edge
+    assert not is_valid_matching(path, Matching(((3, 4),)))  # vertex 4 out of range
+    assert not is_valid_matching(path, Matching(((0, 1), (1, 2))))  # vertex 1 used twice
 
 
 def test_has_matching_of_size():

@@ -61,6 +61,11 @@ def test_enumerate_colorings_counts():
     assert enumerate_colorings(3, 2, params=MatchParams((2, 1))) == 4
 
 
+def test_enumerate_colorings_rejects_params_of_another_color_count():
+    with pytest.raises(ValueError, match="color count"):
+        enumerate_colorings(3, 2, params=MatchParams((2, 2, 2)))
+
+
 def test_enumerate_against_naive_orbit_oracle():
     for n in range(1, 5):
         for c in (1, 2):
@@ -181,7 +186,7 @@ def test_targeted_level_counts(sizes, counts):
     # filter thins up to level r - 2
     p = MatchParams(sizes)
     r = ramsey_value(p)
-    levels = _generate_levels(r, p.sizes, free=True, target=r - 1)
+    levels = _generate_levels(r, p.sizes, target=r - 1)
     assert [len(level) for level in levels] == counts
 
 
@@ -239,7 +244,7 @@ def _targeted_levels(sizes):
     # the levels of verify's search, target r - 1, computed once per point
     p = MatchParams(sizes)
     n = ramsey_value(p) - 1
-    return _generate_levels(n, p.sizes, free=True, target=n)
+    return _generate_levels(n, p.sizes, target=n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -250,7 +255,7 @@ def _reference_critical(sizes):
     p = MatchParams(sizes)
     n = ramsey_value(p) - 1
     if sizes not in PINNED_CRITICAL:
-        return _generate_levels(n, p.sizes, free=True)[n]
+        return _generate_levels(n, p.sizes, target=0)[n]
     words = _targeted_levels(sizes)[n]
     count, digest = PINNED_CRITICAL[sizes]
     assert len(words) == count
@@ -366,7 +371,7 @@ def test_multi_hit_drops_have_no_free_extension(monkeypatch, sizes):
 
     monkeypatch.setattr(search, "_extend_representative", extend_spy)
     monkeypatch.setattr(search, "_extendable", extendable_spy)
-    _generate_levels(r, p.sizes, free=True, target=r - 1)
+    _generate_levels(r, p.sizes, target=r - 1)
     for word, m, ext, row, more in dropped:
         grown = extension_state(word + row, m + 1, p.sizes, ext)
         assert not _has_free_extension(word + row, m + 1, p.sizes, grown, more), (word, row)
@@ -380,7 +385,7 @@ def test_dead_vertex_rule_is_exact(sizes):
     p = MatchParams(sizes)
     n = ramsey_value(p) - 2
     dropped = 0
-    for word in _generate_levels(n, p.sizes, free=True)[n]:
+    for word in _generate_levels(n, p.sizes, target=0)[n]:
         prefix, row = word[: -(n - 1)], word[-(n - 1):]
         dead = not _extendable(extension_state(prefix, n - 1, p.sizes), 1)(row)
         free_child = any(
@@ -454,7 +459,7 @@ def test_reused_search_state_is_the_fresh_state(monkeypatch, sizes):
         return state, out
 
     monkeypatch.setattr(search, "_extend_representative", extend_spy)
-    levels = _generate_levels(r, p.sizes, free=True, target=r - 1)
+    levels = _generate_levels(r, p.sizes, target=r - 1)
     assert checked == {m: len(levels[m]) for m in range(1, r)}
 
 
@@ -563,8 +568,8 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     monkeypatch.setattr("matching_ramsey.search.os.cpu_count", lambda: 2)
     p = MatchParams((3, 3, 2))
-    serial = _generate_levels(8, p.sizes, free=True)
-    assert _generate_levels(8, p.sizes, free=True, jobs=1000) == serial
+    serial = _generate_levels(8, p.sizes, target=0)
+    assert _generate_levels(8, p.sizes, target=0, jobs=1000) == serial
     assert sizes and set(sizes) == {2}
 
 
@@ -593,8 +598,8 @@ def test_a_real_pool_gives_the_serial_levels(pools):
     # and each word's own state comes back
     p = MatchParams((3, 3, 2))
     r = ramsey_value(p)
-    serial = _generate_levels(r, p.sizes, free=True, target=r - 1)
-    assert _generate_levels(r, p.sizes, free=True, target=r - 1, jobs=2) == serial
+    serial = _generate_levels(r, p.sizes, target=r - 1)
+    assert _generate_levels(r, p.sizes, target=r - 1, jobs=2) == serial
     assert pools == [2] * 5
 
 
@@ -612,25 +617,25 @@ def test_a_real_pool_gives_the_serial_enumerations(pools):
 
 
 @pytest.mark.parametrize(
-    "n,classes,free,digest",
+    "n,classes,target,digest",
     [
-        (9, (3, 3, 2), True, "636db7c92ec8d226b34dd55cc2eed87e559862bdaa57c526baafa9ab26fec9d6"),
-        (8, (2, 2, 2, 2, 2), True, "2c04e4f3ad9824763611329547c847b743ad9e1b8710a26714a4233713441e06"),
-        (10, (4, 3), True, "7f72851096a540b1c04e3872eb5db06f809823464ececf63e2cddfaff963f3ff"),
-        (7, (0, 1), False, "39728918fe5cbbeba51f8432cec1251272b09801b8860cbba13671ab7ce8673f"),
-        (5, (0, 0, 0, 0), False, "d70a003083e99e290c4ae900629bf6079a8b7166bcdb94a09f9c8d20102cc52a"),
-        (5, (0, 0, 1), False, "0ae306f9382066431122e87fd368804b7318a3bfc8f5f69779cfca14a2d98f9c"),
-        (6, (2, 2, 2, 2), True, "f5f640364ad600dcc39821b7859f2f491fd8f85a55278e6fc48add078914923c"),
+        (9, (3, 3, 2), 0, "636db7c92ec8d226b34dd55cc2eed87e559862bdaa57c526baafa9ab26fec9d6"),
+        (8, (2, 2, 2, 2, 2), 0, "2c04e4f3ad9824763611329547c847b743ad9e1b8710a26714a4233713441e06"),
+        (10, (4, 3), 0, "7f72851096a540b1c04e3872eb5db06f809823464ececf63e2cddfaff963f3ff"),
+        (7, (0, 1), None, "39728918fe5cbbeba51f8432cec1251272b09801b8860cbba13671ab7ce8673f"),
+        (5, (0, 0, 0, 0), None, "d70a003083e99e290c4ae900629bf6079a8b7166bcdb94a09f9c8d20102cc52a"),
+        (5, (0, 0, 1), None, "0ae306f9382066431122e87fd368804b7318a3bfc8f5f69779cfca14a2d98f9c"),
+        (6, (2, 2, 2, 2), 0, "f5f640364ad600dcc39821b7859f2f491fd8f85a55278e6fc48add078914923c"),
     ],
     ids=["3-3-2", "2-2-2-2-2", "4-3", "graphs-7", "colorings-5-4", "colorings-5-3-labels-0-0-1", "2-2-2-2"],
 )
-def test_representative_lists_are_pinned(n, classes, free, digest):
+def test_representative_lists_are_pinned(n, classes, target, digest):
     # sha256 of the representative lists at every order 0..n.  The first four
     # were measured with the earlier engine that pruned rows vertex by vertex
     # with a matching test per (vertex, color); the last case of those is
     # every graph of order <= 7.  The other three were measured before the
     # twin and unused-color row filter, whose color swaps they exercise.
-    levels = _generate_levels(n, classes, free=free)
+    levels = _generate_levels(n, classes, target=target)
     assert hashlib.sha256(repr(levels).encode()).hexdigest() == digest
 
 
