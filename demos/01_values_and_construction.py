@@ -32,7 +32,7 @@ for sizes in TABLE:
 print()
 p = MatchParams((3, 2, 2))
 ec = construct_critical(p)
-print(f"Cockayne-Lorimer coloring for {p.sizes}: K_{ec.host.n} with parts")
+print(f"Cockayne-Lorimer coloring for {p.sizes}: K_{ec.n} with parts")
 for i, part in enumerate(critical_parts(p), start=1):
     print(f"  V_{i} = {sorted(part)}")
 print(f"free: {is_free(ec, p)}")

@@ -26,7 +26,7 @@ from matching_ramsey import (
 # tiny worked example: a 2-colored 6-cycle contracted along antipodal pairs
 cycle = graph_from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
 colors = {e: 1 + i % 2 for i, e in enumerate(sorted(cycle.edges()))}
-ec = coloring_from_map(cycle, 2, colors)
+ec = coloring_from_map(cycle.n, 2, colors)
 contracted, reps = contract_partition(ec, [{0, 3}, {1, 4}, {2, 5}])
 print("6-cycle contracted along antipodal pairs -> colored K_3")
 for (i, j), (u, v) in sorted(reps.items()):
@@ -51,7 +51,7 @@ for u in range(n):
         if rng.random() < 0.25:
             edges.add((u, v))
 host = graph_from_edges(n, edges)
-ec = coloring_from_map(host, p.c, {e: rng.randint(1, p.c) for e in host.edges()})
+ec = coloring_from_map(host.n, p.c, {e: rng.randint(1, p.c) for e in host.edges()})
 print(f"random host on {n} vertices, {host.edge_count} edges, partitioned into {k} parts "
       f"(k = r{p.sizes} = {k})")
 

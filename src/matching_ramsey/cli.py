@@ -207,7 +207,7 @@ def cmd_star(args) -> int:
 
 def cmd_contract(args) -> int:
     ec = _parse_coloring(args.file)
-    parts = parse_partition(_read(args.partition), ec.host.n)
+    parts = parse_partition(_read(args.partition))
     contracted, rep_map = contract_partition(ec, parts)
     _emit(_render_coloring(contracted, args.format), args.output)
     for (i, j), (u, v) in sorted(rep_map.items()):

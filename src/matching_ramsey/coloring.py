@@ -2,7 +2,8 @@
 
 Throughout, the target is the family of matchings n_1 K_2, ..., n_c K_2 with
 n_1 >= ... >= n_c >= 1 (:class:`MatchParams`).  A c-edge-coloring is *free*
-when color class i never contains a matching of size n_i.
+when color class i never contains a matching of size n_i.  A coloring is its
+color table (:class:`EdgeColoring`), 0 marking a non-edge of its host.
 
 This module carries the constructive and structural side of the theory:
 
@@ -26,9 +27,9 @@ from dataclasses import asdict, dataclass
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .canon import edge_index
+from .canon import edge_index, edge_list
 from .gallai_edmonds import decompose
-from .graph import Edge, Graph, VertexSet, complete_graph, mask_of, part_of
+from .graph import Edge, Graph, VertexSet, graph_from_edges, mask_of, part_of
 from .matching import Matching, has_matching_of_size, matching_number, maximum_matching
 
 
@@ -59,31 +60,30 @@ class MatchParams:
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """A color in 1..c for every edge of a host graph.
+    """A color table over the vertex pairs of 0..n-1, in colex order.
 
-    Colors are stored densely over all vertex pairs in colex order; entry 0
-    marks a non-edge of the host, so the invariant "every host edge has
-    exactly one color" is a shape property of the tuple.
+    ``colors[edge_index(u, v)]`` is the color in 1..c of the host edge {u, v},
+    or 0 for a non-edge: the host is derived from the table (:attr:`host`).
     """
 
-    host: Graph
+    n: int
     c: int
     colors: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.c < 1:
             raise ValueError("at least one color is required")
-        n = self.host.n
-        if len(self.colors) != n * (n - 1) // 2:
+        if self.n < 0:
+            raise ValueError("vertex count must be non-negative")
+        if len(self.colors) != self.n * (self.n - 1) // 2:
             raise ValueError("color table must cover every vertex pair")
-        for v in range(n):
-            for u in range(v):
-                col = self.colors[edge_index(u, v)]
-                if self.host.has_edge(u, v):
-                    if not 1 <= col <= self.c:
-                        raise ValueError(f"edge ({u}, {v}) has color {col} outside 1..{self.c}")
-                elif col != 0:
-                    raise ValueError(f"non-edge ({u}, {v}) carries color {col}")
+        if any(not 0 <= col <= self.c for col in self.colors):
+            raise ValueError(f"color table has an entry outside 0..{self.c}")
+
+    @property
+    def host(self) -> Graph:
+        """The graph of the pairs with a non-zero color."""
+        return graph_from_edges(self.n, ((u, v) for u, v, _ in self.edges_with_colors()))
 
     def color_of(self, u: int, v: int) -> int:
         col = self.colors[edge_index(u, v)]
@@ -93,32 +93,36 @@ class EdgeColoring:
 
     def edges_with_colors(self) -> Iterator[tuple[int, int, int]]:
         """(u, v, color) for every host edge, u < v, in lexicographic order."""
-        for u, v in self.host.edges():
-            yield u, v, self.colors[edge_index(u, v)]
+        for u in range(self.n):
+            for v in range(u + 1, self.n):
+                col = self.colors[edge_index(u, v)]
+                if col:
+                    yield u, v, col
 
 
-def coloring_from_map(host: Graph, c: int, colors: Mapping[Edge, int]) -> EdgeColoring:
-    """Build an :class:`EdgeColoring` from an (u, v) -> color mapping.
+def coloring_from_map(n: int, c: int, colors: Mapping[Edge, int]) -> EdgeColoring:
+    """Build an :class:`EdgeColoring` on 0..n-1 from an (u, v) -> color mapping.
 
-    The constructor validates that the mapping covers exactly the host edges.
+    The mapped pairs are the host edges: each must join two distinct vertices
+    of 0..n-1 and carry a color in 1..c.  Every other pair is a non-edge.
     """
-    n = host.n
     table = [0] * (n * (n - 1) // 2)
     for (u, v), col in colors.items():
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if not 1 <= col <= c:
+            raise ValueError(f"edge ({min(u, v)}, {max(u, v)}) has color {col} outside 1..{c}")
         table[edge_index(u, v)] = col
-    return EdgeColoring(host, c, tuple(table))
+    return EdgeColoring(n, c, tuple(table))
 
 
 def color_class(ec: EdgeColoring, i: int) -> Graph:
     """The spanning subgraph of edges colored ``i``."""
     if not 1 <= i <= ec.c:
         raise ValueError(f"color {i} outside 1..{ec.c}")
-    rows = [0] * ec.host.n
-    for u, v, col in ec.edges_with_colors():
-        if col == i:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-    return Graph(ec.host.n, tuple(rows))
+    return graph_from_edges(ec.n, ((u, v) for u, v, col in ec.edges_with_colors() if col == i))
 
 
 def matching_profile(ec: EdgeColoring) -> tuple[int, ...]:
@@ -171,11 +175,8 @@ def construct_critical(p: MatchParams) -> EdgeColoring:
     """
     n = p.critical_order
     owner = part_of(critical_parts(p), n)
-    host = complete_graph(n)
-    table = [0] * (n * (n - 1) // 2)
-    for u, v in host.edges():
-        table[edge_index(u, v)] = max(owner[u], owner[v]) + 1
-    return EdgeColoring(host, p.c, tuple(table))
+    table = tuple(max(owner[u], owner[v]) + 1 for u, v in edge_list(n))
+    return EdgeColoring(n, p.c, table)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +217,7 @@ def check_structure(ec: EdgeColoring, p: MatchParams, w: StructureWitness) -> bo
             raise ValueError("relabelling may only exchange colors with equal target sizes")
     if len(w.parts) != p.c:
         raise ValueError("witness needs one part per color")
-    owner = part_of(w.parts, ec.host.n)
+    owner = part_of(w.parts, ec.n)
     if any(len(part) != len(want) for part, want in zip(w.parts, critical_parts(p))):
         return False
 
@@ -234,10 +235,6 @@ def check_structure(ec: EdgeColoring, p: MatchParams, w: StructureWitness) -> bo
     return True
 
 
-def _is_complete(g: Graph) -> bool:
-    return g.edge_count == g.n * (g.n - 1) // 2
-
-
 def find_structure(ec: EdgeColoring, p: MatchParams) -> StructureWitness | None:
     """The block-structure witness of ``ec``, or None when none exists.
 
@@ -252,13 +249,11 @@ def find_structure(ec: EdgeColoring, p: MatchParams) -> StructureWitness | None:
     is built and :func:`check_structure` alone accepts or rejects it.
     """
     _check_color_count(ec, p)
-    if not _is_complete(ec.host):
+    if 0 in ec.colors:
         raise ValueError("structure search requires a complete host graph")
-    if ec.host.n != p.critical_order:
-        raise ValueError(
-            f"host order {ec.host.n} differs from the extremal order {p.critical_order}"
-        )
-    n = ec.host.n
+    if ec.n != p.critical_order:
+        raise ValueError(f"host order {ec.n} differs from the extremal order {p.critical_order}")
+    n = ec.n
     n1 = p.sizes[0]
     for m in (i for i in range(1, p.c + 1) if p.sizes[i - 1] == n1):
         cls = color_class(ec, m)
@@ -369,25 +364,19 @@ def contract_partition(
     contracted edge (i, j) is the lexicographically smallest host edge
     between part i and part j, recorded in the returned map.
     """
-    owner = part_of(parts, ec.host.n)
+    owner = part_of(parts, ec.n)
     # host edges come in lexicographic order: the first met is the smallest
     first: dict[Edge, Edge] = {}
-    for u, v in ec.host.edges():
+    for u, v, _ in ec.edges_with_colors():
         i, j = sorted((owner[u], owner[v]))
         if i != j:
             first.setdefault((i, j), (u, v))
-    k = len(parts)
-    rep_map: dict[Edge, Edge] = {}
-    table = [0] * (k * (k - 1) // 2)
-    for j in range(k):
-        for i in range(j):
-            best = first.get((i, j))
-            if best is None:
-                raise ValueError(f"no host edge joins part {i} and part {j}")
-            rep_map[(i, j)] = best
-            table[edge_index(i, j)] = ec.color_of(*best)
-    contracted = EdgeColoring(complete_graph(k), ec.c, tuple(table))
-    return contracted, rep_map
+    pairs = edge_list(len(parts))
+    for i, j in pairs:
+        if (i, j) not in first:
+            raise ValueError(f"no host edge joins part {i} and part {j}")
+    table = tuple(ec.color_of(*first[pair]) for pair in pairs)
+    return EdgeColoring(len(parts), ec.c, table), first
 
 
 def lift_matching(m: Matching, rep_map: Mapping[Edge, Edge]) -> Matching:

@@ -1,5 +1,8 @@
 """Text and JSON formats for graphs, colorings, and partitions.
 
+The text readers take ASCII decimals ``-?[0-9]+`` only, not ``1_0``, ``+2``
+or non-ASCII digits, which ``int`` alone would read.
+
 ``adjlist`` (plain graphs): first line the vertex count, then one line per
 edge ``u v`` with u < v.  The parser rejects a vertex count above
 ``MAX_GRAPH_ORDER``, loops, duplicate edges, and out-of-range endpoints.
@@ -12,7 +15,7 @@ decimals, single spaces, LF terminators on every line.
 
 ``partition``: one part per line, vertices as space-separated decimals,
 none twice on a line; blank lines are skipped, and
-:func:`~matching_ramsey.graph.part_of` checks that the parts partition 0..n-1.
+:func:`~matching_ramsey.coloring.contract_partition` checks the partition.
 
 The JSON form of a coloring mirrors the ecg data with an explicit edge list.
 Its reader rejects what the text readers would: values that are not
@@ -21,9 +24,11 @@ integers (``true``, ``2.9``) and an edge given twice.
 
 from __future__ import annotations
 
+import re
+
 from .canon import edge_index
 from .coloring import EdgeColoring, coloring_from_map
-from .graph import Graph, VertexSet, graph_from_edges, part_of
+from .graph import Graph, VertexSet, graph_from_edges
 
 # Largest graph order the parsers and the CLI's ``construct`` accept.
 # ``decompose`` of a dense random graph of order 400 takes about 15 s, one of
@@ -40,6 +45,13 @@ DOT_PALETTE = (
     "cyan",
     "magenta",
 )
+
+
+def _decimal(token: str) -> int:
+    """The value of an ASCII decimal token; ValueError for anything else."""
+    if not re.fullmatch("-?[0-9]+", token):
+        raise ValueError(f"not an ASCII decimal: {token!r}")
+    return int(token)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +75,7 @@ def parse_adjlist(text: str) -> Graph:
     if not lines:
         raise ValueError("adjlist input is empty")
     try:
-        n = int(lines[0])
+        n = _decimal(lines[0].strip())
     except ValueError as exc:
         raise ValueError(f"bad vertex count line: {lines[0]!r}") from exc
     check_graph_order(n)
@@ -74,7 +86,7 @@ def parse_adjlist(text: str) -> Graph:
         if len(fields) != 2:
             raise ValueError(f"bad edge line: {line!r}")
         try:
-            u, v = int(fields[0]), int(fields[1])
+            u, v = _decimal(fields[0]), _decimal(fields[1])
         except ValueError as exc:
             raise ValueError(f"bad edge line: {line!r}") from exc
         key = (min(u, v), max(u, v))
@@ -91,7 +103,7 @@ def parse_adjlist(text: str) -> Graph:
 
 
 def format_ecg(ec: EdgeColoring) -> str:
-    n = ec.host.n
+    n = ec.n
     out = [f"{n} {ec.c}\n"]
     for u in range(n - 1):
         row = " ".join(str(ec.colors[edge_index(u, v)]) for v in range(u + 1, n))
@@ -107,7 +119,7 @@ def parse_ecg(text: str) -> EdgeColoring:
     if len(head) != 2:
         raise ValueError(f"bad header line: {lines[0]!r}")
     try:
-        n, c = int(head[0]), int(head[1])
+        n, c = _decimal(head[0]), _decimal(head[1])
     except ValueError as exc:
         raise ValueError(f"bad header line: {lines[0]!r}") from exc
     if n < 0 or c < 1:
@@ -117,7 +129,6 @@ def parse_ecg(text: str) -> EdgeColoring:
     rows_needed = max(0, n - 1)
     if len(body) < rows_needed or any(line.strip() for line in body[rows_needed:]):
         raise ValueError(f"expected exactly {rows_needed} data lines")
-    edges = []
     colors = {}
     for u in range(rows_needed):
         fields = body[u].split()
@@ -126,13 +137,12 @@ def parse_ecg(text: str) -> EdgeColoring:
         for k, field in enumerate(fields):
             v = u + 1 + k
             try:
-                col = int(field)
+                col = _decimal(field)
             except ValueError as exc:
                 raise ValueError(f"line {u + 2}: bad color {field!r}") from exc
             if col:
-                edges.append((u, v))
                 colors[(u, v)] = col
-    return coloring_from_map(graph_from_edges(n, edges), c, colors)
+    return coloring_from_map(n, c, colors)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +152,7 @@ def parse_ecg(text: str) -> EdgeColoring:
 
 def coloring_to_dict(ec: EdgeColoring) -> dict:
     return {
-        "n": ec.host.n,
+        "n": ec.n,
         "c": ec.c,
         "edges": [[u, v, col] for u, v, col in ec.edges_with_colors()],
     }
@@ -161,7 +171,7 @@ def coloring_from_dict(data: dict) -> EdgeColoring:
     colors = {(min(u, v), max(u, v)): col for u, v, col in triples}
     if len(colors) < len(triples):
         raise ValueError("bad coloring record: an edge is given twice")
-    return coloring_from_map(graph_from_edges(n, colors), c, colors)
+    return coloring_from_map(n, c, colors)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +181,7 @@ def coloring_from_dict(data: dict) -> EdgeColoring:
 
 def format_dot(ec: EdgeColoring, name: str = "coloring") -> str:
     lines = [f"graph {name} {{"]
-    for v in range(ec.host.n):
+    for v in range(ec.n):
         lines.append(f"  {v};")
     for u, v, col in ec.edges_with_colors():
         shade = DOT_PALETTE[(col - 1) % len(DOT_PALETTE)]
@@ -189,18 +199,17 @@ def format_partition(parts: list[VertexSet] | tuple[VertexSet, ...]) -> str:
     return "".join(" ".join(str(v) for v in sorted(part)) + "\n" for part in parts)
 
 
-def parse_partition(text: str, n: int) -> list[VertexSet]:
+def parse_partition(text: str) -> list[VertexSet]:
     parts = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            members = [int(tok) for tok in line.split()]
+            members = [_decimal(tok) for tok in line.split()]
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad vertex token") from exc
         part = frozenset(members)
         if len(part) < len(members):
             raise ValueError(f"line {lineno}: a vertex appears twice")
         parts.append(part)
-    part_of(parts, n)
     return parts

@@ -75,7 +75,7 @@ from typing import Callable, NamedTuple
 
 from .canon import Prefix, edge_list, is_canonical
 from .coloring import EdgeColoring, MatchParams, StructureWitness, find_structure, is_free
-from .graph import Graph, bits, complete_graph, graph_from_edges, is_connected
+from .graph import Graph, bits, graph_from_edges, is_connected
 from .matching import _augment, _mate_size, forest_d, has_k_matching_on_masks
 
 DEFAULT_ORDER_GUARD = 8
@@ -404,8 +404,7 @@ def _generate_levels(
 
 
 def _coloring_from_word(word: bytes, n: int, c: int) -> EdgeColoring:
-    table = tuple(int(b) + 1 for b in word)
-    return EdgeColoring(complete_graph(n), c, table)
+    return EdgeColoring(n, c, tuple(b + 1 for b in word))
 
 
 def _word_from_coloring(ec: EdgeColoring) -> bytes:

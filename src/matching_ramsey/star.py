@@ -46,7 +46,6 @@ from .coloring import (
     critical_parts,
     is_free,
 )
-from .graph import graph_from_edges
 from .search import (
     DEFAULT_ORDER_GUARD,
     Progress,
@@ -65,10 +64,10 @@ def _attach_center(
     base: EdgeColoring, spokes: tuple[int, ...], spoke_colors: tuple[int, ...]
 ) -> EdgeColoring:
     """Extend a coloring of K_{n-1} by a center with colored spokes."""
-    nb = base.host.n
+    nb = base.n
     colors = {(u, v): col for u, v, col in base.edges_with_colors()}
     colors.update(((v, nb), col) for v, col in zip(spokes, spoke_colors))
-    return coloring_from_map(graph_from_edges(nb + 1, colors), base.c, colors)
+    return coloring_from_map(nb + 1, base.c, colors)
 
 
 def construct_star_free(p: MatchParams) -> EdgeColoring:
@@ -136,7 +135,7 @@ def verify_star_exhaustive(
 
     crit = enumerate_critical(p, guard=guard, jobs=jobs, progress=progress)
     star = construct_star_free(p)
-    lower_ok = is_free(star, p) and star.host.n == nb + 1 and star.host.degree(nb) == m
+    lower_ok = is_free(star, p) and star.n == nb + 1 and star.host.degree(nb) == m
 
     upper_ok = clique_ok = True
     for base, witness in zip(crit.critical_classes, crit.witnesses):

@@ -39,7 +39,6 @@ from matching_ramsey import (
     MatchParams,
     StructureWitness,
     check_structure,
-    complete_graph,
     find_structure,
     graph_from_edges,
     is_free,
@@ -73,9 +72,8 @@ def random_graph(rng: random.Random, n: int, p: float):
 
 def all_colorings(n: int, c: int):
     """Every labelled c-coloring of K_n."""
-    host = complete_graph(n)
     for combo in itertools.product(range(1, c + 1), repeat=n * (n - 1) // 2):
-        yield EdgeColoring(host, c, combo)
+        yield EdgeColoring(n, c, combo)
 
 
 def naive_orbit_reps(n: int, c: int, params: MatchParams | None = None, free_only: bool = False):

@@ -164,7 +164,7 @@ def _random_contraction_instance(rng):
                 edges.add((u, v))
     host = graph_from_edges(n, edges)
     colors = {e: rng.randint(1, p.c) for e in host.edges()}
-    return p, coloring_from_map(host, p.c, colors), parts
+    return p, coloring_from_map(host.n, p.c, colors), parts
 
 
 def test_criterion_8_contraction_corollary():

@@ -157,8 +157,9 @@ def test_contract_rejects_a_bad_partition(capsys, tmp_path, text):
         ("-1 2\n", "bad header values"),
         ("4 0\n1 1 2\n1 2\n2\n", "bad header values"),
         ("4 2\n1 1 2\n1 y\n2\n", "line 3: bad color"),
+        ("4 2\n1 1 2\n1 +2\n2\n", "line 3: bad color"),
     ],
-    ids=["header-token", "negative-order", "no-colors", "color-token"],
+    ids=["header-token", "negative-order", "no-colors", "color-token", "signed-color"],
 )
 def test_free_check_rejects_a_bad_ecg(capsys, tmp_path, text, message):
     path = tmp_path / "bad.ecg"

@@ -25,14 +25,14 @@ from matching_ramsey import (
     matching_profile,
 )
 from matching_ramsey.canon import edge_index
-from matching_ramsey.formats import parse_ecg
+from matching_ramsey.formats import coloring_from_dict, coloring_to_dict, format_ecg, parse_ecg
 
 from helpers import all_colorings, brute_force_structure
 
 
 def monochromatic(n, c=1, color=1):
     host = complete_graph(n)
-    return coloring_from_map(host, max(c, color), {e: color for e in host.edges()})
+    return coloring_from_map(host.n, max(c, color), {e: color for e in host.edges()})
 
 
 def all_small_params(max_n1=3, max_c=3):
@@ -56,22 +56,39 @@ def test_match_params_validation():
 
 
 def test_edge_coloring_validation():
-    host = complete_graph(3)
     with pytest.raises(ValueError):
-        EdgeColoring(host, 2, (1, 1))  # wrong table length
+        EdgeColoring(3, 2, (1, 1))  # wrong table length
     with pytest.raises(ValueError):
-        EdgeColoring(host, 2, (1, 1, 3))  # color out of range
-    with pytest.raises(ValueError):
-        coloring_from_map(host, 2, {(0, 1): 1, (0, 2): 1})  # missing edge
+        EdgeColoring(3, 2, (1, 1, 3))  # color out of range
+    with pytest.raises(ValueError, match="non-negative"):
+        EdgeColoring(-1, 2, (0,))  # C(-1, 2) = 1, so the length alone would pass
+    with pytest.raises(ValueError, match="loop at vertex 1"):
+        coloring_from_map(3, 2, {(1, 1): 1})
+    with pytest.raises(ValueError, match=r"edge \(0, 3\) out of range for n=3"):
+        coloring_from_map(3, 2, {(0, 3): 1})
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) has color 0 outside 1\.\.2"):
+        coloring_from_map(3, 2, {(1, 0): 0})  # a mapped pair is an edge: 0 is no color
     p3 = graph_from_edges(3, [(0, 1), (1, 2)])
-    with pytest.raises(ValueError):
-        coloring_from_map(p3, 2, {(0, 1): 1, (1, 2): 1, (0, 2): 2})  # non-edge colored
     with pytest.raises(ValueError, match="at least one color"):
-        EdgeColoring(complete_graph(2), 0, (1,))
-    ec = coloring_from_map(p3, 1, {(0, 1): 1, (1, 2): 1})
+        EdgeColoring(2, 0, (1,))
+    ec = coloring_from_map(p3.n, 1, {(0, 1): 1, (1, 2): 1})
     assert ec.color_of(1, 0) == 1
     with pytest.raises(KeyError):
         ec.color_of(0, 2)
+
+
+def test_a_random_color_table_is_its_coloring():
+    # the host is read off the non-zero entries; both text forms round-trip
+    rng = random.Random(2828)
+    for _ in range(300):
+        n, c = rng.randint(0, 7), rng.randint(1, 4)
+        ec = EdgeColoring(n, c, tuple(rng.randint(0, c) for _ in range(n * (n - 1) // 2)))
+        pairs = itertools.combinations(range(n), 2)
+        nonzero = [(u, v) for u, v in pairs if ec.colors[edge_index(u, v)]]
+        assert list(ec.host.edges()) == nonzero
+        assert [(u, v) for u, v, _ in ec.edges_with_colors()] == nonzero
+        assert parse_ecg(format_ecg(ec)) == ec
+        assert coloring_from_dict(coloring_to_dict(ec)) == ec
 
 
 def test_color_class_examples():
@@ -94,7 +111,7 @@ def test_is_free_examples():
     # with n_i = 1 freeness means the color is unused
     ones = MatchParams((1, 1))
     host = complete_graph(2)
-    used = coloring_from_map(host, 2, {(0, 1): 1})
+    used = coloring_from_map(host.n, 2, {(0, 1): 1})
     assert not is_free(used, ones)
     with pytest.raises(ValueError):
         is_free(mono5, MatchParams((2, 2, 2)))
@@ -147,7 +164,7 @@ def test_check_structure_color_swap():
     # relabelling is legal and the witness still certifies the structure
     p = MatchParams((2, 2))
     ec = construct_critical(p)
-    swapped = EdgeColoring(ec.host, 2, tuple(3 - col for col in ec.colors))
+    swapped = EdgeColoring(ec.n, 2, tuple(3 - col for col in ec.colors))
     w = StructureWitness((2, 1), (frozenset({0, 1, 2}), frozenset({3})))
     assert check_structure(swapped, p, w)
     # for distinct target sizes the same relabelling must be rejected
@@ -196,7 +213,7 @@ def test_find_structure_checks_the_color_count(text):
 def test_find_structure_on_swapped_colors():
     p = MatchParams((2, 2))
     ec = construct_critical(p)
-    swapped = EdgeColoring(ec.host, 2, tuple(3 - col for col in ec.colors))
+    swapped = EdgeColoring(ec.n, 2, tuple(3 - col for col in ec.colors))
     w = find_structure(swapped, p)
     assert w is not None and w.color_relabel == (2, 1)
     assert check_structure(swapped, p, w)
@@ -216,7 +233,7 @@ def cycle_coloring():
     colors = {}
     for i, e in enumerate(sorted(c6.edges())):
         colors[e] = 1 + i % 2
-    return coloring_from_map(c6, 2, colors)
+    return coloring_from_map(c6.n, 2, colors)
 
 
 def test_contract_partition_cycle():
@@ -235,7 +252,7 @@ def test_contract_partition_identity_and_errors():
     assert all(rep_map[e] == e for e in rep_map)
 
     disconnected = graph_from_edges(4, [(0, 1), (2, 3)])
-    colored = coloring_from_map(disconnected, 1, {(0, 1): 1, (2, 3): 1})
+    colored = coloring_from_map(disconnected.n, 1, {(0, 1): 1, (2, 3): 1})
     with pytest.raises(ValueError):
         contract_partition(colored, [{0, 1}, {2, 3}])  # no cross edge
     with pytest.raises(ValueError):
@@ -259,7 +276,7 @@ def test_lift_matching_monochromatic_pair():
     # lifts edge-for-edge with colors preserved
     host = complete_graph(6)
     colors = {e: 1 + (e[0] + e[1]) % 2 for e in host.edges()}
-    ec = coloring_from_map(host, 2, colors)
+    ec = coloring_from_map(host.n, 2, colors)
     contracted, rep_map = contract_partition(ec, [{0, 1}, {2, 3}, {4, 5}])
     m = Matching(((0, 2),)) if contracted.host.has_edge(0, 2) else Matching(())
     lifted = lift_matching(m, rep_map)
@@ -306,10 +323,10 @@ def test_find_structure_matches_the_oracle_on_critical_and_perturbed_colorings()
         host = complete_graph(p.critical_order)
         for _ in range(15):
             table = permuted_critical(p, rng)
-            ec = EdgeColoring(host, p.c, tuple(table))
+            ec = EdgeColoring(host.n, p.c, tuple(table))
             assert find_structure(ec, p) == brute_force_structure(ec, p) is not None
             table[rng.randrange(len(table))] = rng.randint(1, p.c)
-            ec = EdgeColoring(host, p.c, tuple(table))
+            ec = EdgeColoring(host.n, p.c, tuple(table))
             witness = find_structure(ec, p)
             assert witness == brute_force_structure(ec, p)
             outcomes.add(witness is None)
@@ -319,6 +336,6 @@ def test_find_structure_matches_the_oracle_on_critical_and_perturbed_colorings()
 def test_find_structure_needs_a_complete_host():
     p = MatchParams((2, 2))
     host = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    ec = coloring_from_map(host, 2, {e: 1 for e in host.edges()})
+    ec = coloring_from_map(host.n, 2, {e: 1 for e in host.edges()})
     with pytest.raises(ValueError, match="complete host"):
         find_structure(ec, p)

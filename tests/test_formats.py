@@ -38,7 +38,7 @@ def test_ecg_round_trip():
 
 def test_ecg_non_complete_host():
     p3 = graph_from_edges(3, [(0, 1), (1, 2)])
-    ec = coloring_from_map(p3, 2, {(0, 1): 1, (1, 2): 2})
+    ec = coloring_from_map(p3.n, 2, {(0, 1): 1, (1, 2): 2})
     text = format_ecg(ec)
     assert text == "3 2\n1 0\n2\n"
     assert parse_ecg(text) == ec
@@ -55,6 +55,12 @@ def test_ecg_parse_errors():
         parse_ecg("3 2\n1 9\n1\n")  # color out of range
     with pytest.raises(ValueError):
         parse_ecg("3 2\n1 1 1\n1\n")  # too many entries on a line
+    # int() would read these as 10, 2 and 2: ASCII decimals only
+    for token in ("1_0", "\u0662", "+2"):
+        with pytest.raises(ValueError, match="line 2: bad color"):
+            parse_ecg(f"2 10\n{token}\n")
+        with pytest.raises(ValueError, match="bad header line"):
+            parse_ecg(f"{token} 10\n1\n")
 
 
 def test_adjlist_round_trip_and_errors():
@@ -71,6 +77,11 @@ def test_adjlist_round_trip_and_errors():
         parse_adjlist("3\n0 7\n")
     with pytest.raises(ValueError):
         parse_adjlist("3\n0 1 2\n")
+    for token in ("1_0", "\u0662", "+2"):
+        with pytest.raises(ValueError, match="bad edge line"):
+            parse_adjlist(f"11\n0 {token}\n")
+        with pytest.raises(ValueError, match="bad vertex count line"):
+            parse_adjlist(f"{token}\n")
 
 
 def test_adjlist_order_limit():
@@ -124,24 +135,21 @@ def test_dot_output():
 def test_partition_round_trip_and_errors():
     parts = [frozenset({0, 2}), frozenset({1}), frozenset({3, 4})]
     text = format_partition(parts)
-    assert parse_partition(text, 5) == parts
+    assert parse_partition(text) == parts
     with pytest.raises(ValueError):
-        parse_partition("0 1\n1 2\n", 3)  # overlap
-    with pytest.raises(ValueError):
-        parse_partition("0 1\n", 3)  # missing vertex
-    with pytest.raises(ValueError):
-        parse_partition("0 9\n", 3)
-    with pytest.raises(ValueError):
-        parse_partition("0 x\n1 2\n", 3)
+        parse_partition("0 x\n1 2\n")
     # blank lines are skipped; a vertex twice on one line is the reader's own
-    # error, while range, overlap and cover are graph.part_of's
-    assert parse_partition("0 2\n\n  \n1\n", 3) == [frozenset({0, 2}), frozenset({1})]
+    # error, while range, overlap and cover are left to contract_partition
+    # (tests/test_cli.py::test_contract_rejects_a_bad_partition)
+    assert parse_partition("0 2\n\n  \n1\n") == [frozenset({0, 2}), frozenset({1})]
+    assert parse_partition("0 9\n0 1\n") == [frozenset({0, 9}), frozenset({0, 1})]
     with pytest.raises(ValueError, match="line 2: bad vertex token"):
-        parse_partition("0 1\n2 y\n", 3)
+        parse_partition("0 1\n2 y\n")
     with pytest.raises(ValueError, match="line 1: a vertex appears twice"):
-        parse_partition("0 0 1\n2\n", 3)
-    with pytest.raises(ValueError):
-        parse_partition("0 1\n2\n1\n", 3)  # a vertex on two lines
+        parse_partition("0 0 1\n2\n")
+    for token in ("1_0", "\u0662", "+2"):
+        with pytest.raises(ValueError, match="line 1: bad vertex token"):
+            parse_partition(f"0 {token}\n")
 
 
 def test_star_host_ecg_round_trip():
@@ -163,7 +171,7 @@ def test_ecg_round_trip_random_hosts():
         c = rng.randint(1, 4)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
         host = graph_from_edges(n, edges)
-        ec = coloring_from_map(host, c, {e: rng.randint(1, c) for e in host.edges()})
+        ec = coloring_from_map(host.n, c, {e: rng.randint(1, c) for e in host.edges()})
         text = format_ecg(ec)
         assert parse_ecg(text) == ec
         assert format_ecg(parse_ecg(text)) == text

@@ -118,6 +118,9 @@ def test_part_of():
         ([{0, -1}, {1, 2}], "vertex -1 outside 0..2"),
         ([{0, 1}, {1, 2}], "parts overlap"),
         ([{0}, {2}], "do not cover"),
+        ([{0, 9}], "vertex 9 outside 0..2"),
+        ([{0, 1}, {2}, {1}], "parts overlap"),
+        ([{0, 1}], "do not cover"),
     ],
 )
 def test_part_of_rejects(parts, message):

@@ -41,7 +41,7 @@ def test_ledger_with_unused_color():
 
 def test_ledger_rejects_non_free():
     host = complete_graph(5)
-    mono = coloring_from_map(host, 2, {e: 1 for e in host.edges()})
+    mono = coloring_from_map(host.n, 2, {e: 1 for e in host.edges()})
     with pytest.raises(ValueError):
         proof_ledger(mono, MatchParams((2, 2)))
 

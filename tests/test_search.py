@@ -694,7 +694,7 @@ def test_recolored_critical_colorings_stay_inside_the_structured_family():
                         continue
                     flipped = list(ec.colors)
                     flipped[idx] = other
-                    recolored = EdgeColoring(ec.host, ec.c, tuple(flipped))
+                    recolored = EdgeColoring(ec.n, ec.c, tuple(flipped))
                     if not is_free(recolored, p):
                         continue
                     if p.c == 2:

@@ -6,7 +6,6 @@ import pytest
 from matching_ramsey import (
     EdgeColoring,
     MatchParams,
-    complete_graph,
     construct_star_free,
     enumerate_critical,
     is_free,
@@ -40,12 +39,12 @@ def test_star_critical_values():
 
 
 def test_attach_center():
-    base = EdgeColoring(complete_graph(4), 1, (1,) * 6)
+    base = EdgeColoring(4, 1, (1,) * 6)
     host = _attach_center(base, (0, 2), (1, 1)).host
     assert host.n == 5
     assert host.degree(4) == 2
     assert host.has_edge(0, 4) and host.has_edge(2, 4) and not host.has_edge(1, 4)
-    small = EdgeColoring(complete_graph(3), 1, (1,) * 3)
+    small = EdgeColoring(3, 1, (1,) * 3)
     with pytest.raises(ValueError):
         _attach_center(small, (3,), (1,))
 
@@ -152,7 +151,7 @@ def test_spoke_rule_matches_is_free_on_random_free_colorings():
         p = rng.choice(params)
         n = rng.randint(3, 6)
         colors = tuple(rng.randint(1, p.c) for _ in range(n * (n - 1) // 2))
-        base = EdgeColoring(complete_graph(n), p.c, colors)
+        base = EdgeColoring(n, p.c, colors)
         if not is_free(base, p):
             continue
         bases += 1
